@@ -35,7 +35,6 @@
 #include "bench_common.h"
 #include "campaign/coordinator.h"
 #include "sweep/expand.h"
-#include "sweep/runner.h"
 #include "sweep/spec.h"
 
 namespace mcs {
@@ -121,25 +120,22 @@ int main(int argc, char** argv) {
     std::string config = "w";
     config += std::to_string(workers);
 
-    // Calibration: one sequential in-process pass measures every cell's
-    // cost on an otherwise idle machine (cells never overlap).
+    // Calibration: one sequential pass in this process (the zero-worker
+    // lane) measures every cell's cost on an otherwise idle machine
+    // (cells never overlap).
     const std::string calDir = outDir + "/bench-campaign/" + config + "-cal";
     std::filesystem::remove_all(calDir);
-    CampaignOptions cal;
-    cal.threads = 1;
+    campaign::WorkQueueOptions cal;
+    cal.workers = 0;
     cal.outDir = calDir;
-    CampaignResult calRun;
-    if (!runCampaign(spec, cal, calRun, err)) {
+    campaign::WorkQueueCampaign calRun;
+    if (!campaign::runCampaignWorkQueue(spec, cal, calRun, err)) {
       std::fprintf(stderr, "%s\n", err.c_str());
       return 2;
     }
     std::vector<double> cost;
     cost.reserve(calRun.cells.size());
-    for (const CellResult& cell : calRun.cells) {
-      double sum = 0.0;
-      for (const SeedResult& r : cell.batch.perSeed) sum += r.wallSec;
-      cost.push_back(sum);
-    }
+    for (const campaign::CellRecord& rec : calRun.cells) cost.push_back(rec.wallSec);
 
     const double staticMk = staticMakespan(cost, workers);
     const double queueMk = queueMakespan(cost, workers);

@@ -41,7 +41,7 @@ inline void armTelemetryCli(const Args& args) {
 /// the Chrome trace file when --trace-out was given.  Returns false when
 /// the trace write fails, so binaries can propagate it to the exit code.
 /// Pass writeTrace=false when something else already wrote the trace file
-/// (the campaign coordinator merging worker rings) — the counter/timer
+/// (the campaign executor, which merges worker rings) — the counter/timer
 /// table still prints.
 inline bool finishTelemetryCli(const Args& args, double wallSec, bool writeTrace = true) {
   if (telemetry::enabled()) {

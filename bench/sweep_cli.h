@@ -6,8 +6,6 @@
 #include "bench_common.h"
 #include "campaign/coordinator.h"
 #include "campaign/report.h"
-#include "sweep/report.h"
-#include "sweep/runner.h"
 
 /// Shared driver for the sweep-campaign binaries: sweep_runner and the
 /// experiment mains rewritten on the engine (exp_e2_scaling_n,
@@ -45,21 +43,37 @@ inline bool applySweepFlagOverrides(SweepSpec& spec, const Args& args, std::stri
   return true;
 }
 
-/// Runs `spec` honoring --shard/--threads/--out-dir/--resume/--csv and
-/// --cells (list the expansion without running).  `csvPath` overrides the
-/// CSV destination (multi-campaign binaries derive one per campaign so a
-/// shared --csv value is not overwritten); empty falls back to --csv,
+/// Runs `spec` honoring --workers/--shard/--threads/--out-dir/--resume/--csv
+/// and --cells (list the expansion without running).  `csvPath` overrides
+/// the CSV destination (multi-campaign binaries derive one per campaign so
+/// a shared --csv value is not overwritten); empty falls back to --csv,
 /// then to `<out-dir>/BENCH_sweep_<name>.csv`.  Returns the process exit
 /// code: 0 success, 1 failures or unwritable reports, 2 usage.
 inline int runSweepCampaignCli(const SweepSpec& spec, const Args& args,
                                const std::string& csvPath = "") {
-  CampaignOptions opts;
-  opts.threads = static_cast<int>(args.getInt(
-      "threads", static_cast<long>(std::max(2u, std::thread::hardware_concurrency()))));
+  campaign::WorkQueueOptions opts;
+  // --workers=N forks N worker processes (N <= 0: one per hardware
+  // thread); without the flag every cell runs in this process.  Per-cell
+  // results and reports are byte-identical either way (wall times aside),
+  // so the same baselines gate both.
+  if (args.has("workers")) {
+    opts.workers = static_cast<int>(args.getInt("workers", 0));
+    if (opts.workers <= 0) {
+      opts.workers = static_cast<int>(std::thread::hardware_concurrency());
+      if (opts.workers <= 0) opts.workers = 2;
+    }
+  }
+  // Process-level parallelism replaces lane parallelism: one lane per
+  // worker unless --threads asks for more; in this process the seeds of a
+  // cell share a pool instead.
+  const unsigned lanes =
+      opts.workers > 0 ? 1u : std::max(2u, std::thread::hardware_concurrency());
+  opts.threads = static_cast<int>(args.getInt("threads", static_cast<long>(lanes)));
   // --out-dir is the documented flag; --out stays as a compatibility
   // alias for the scenario_runner convention.
   opts.outDir = args.get("out-dir", args.get("out", "."));
   opts.resume = args.getBool("resume");
+  opts.faultKillCell = static_cast<int>(args.getInt("fault-kill-cell", -1));
   const std::string shard = args.get("shard");
   std::string err;
   if (!shard.empty() && !parseShard(shard, opts.shardIndex, opts.shardCount, err)) {
@@ -100,6 +114,10 @@ inline int runSweepCampaignCli(const SweepSpec& spec, const Args& args,
   // for interactive campaigns unless --no-heartbeat.
   armTelemetryCli(args);
   opts.heartbeat = !args.getBool("no-heartbeat");
+  // The executor writes the trace itself: with workers it merges their
+  // per-process rings (pid = worker id), which the coordinator's own
+  // (empty) ring must not overwrite.
+  opts.traceOut = args.get("trace-out");
 
   // --store[=path] streams every cell into the columnar campaign store
   // (query it with sweep_query); bare --store derives the path from the
@@ -119,111 +137,47 @@ inline int runSweepCampaignCli(const SweepSpec& spec, const Args& args,
     if (cached) row("%-6d %-32s %46s", cell.index, cell.label.c_str(), "cached");
   };
 
-  // --workers N selects the multi-process work queue (0 = hardware
-  // concurrency); without the flag the in-process runner below is
-  // untouched.  Per-cell results and reports are byte-identical either
-  // way (wall times aside), so the same baselines gate both modes.
-  if (args.has("workers")) {
-    campaign::WorkQueueOptions wq;
-    wq.workers = static_cast<int>(args.getInt("workers", 0));
-    // Process-level parallelism replaces lane parallelism: one lane per
-    // worker unless --threads asks for more.
-    wq.threadsPerWorker = static_cast<int>(args.getInt("threads", 1));
-    wq.shardIndex = opts.shardIndex;
-    wq.shardCount = opts.shardCount;
-    wq.resume = opts.resume;
-    wq.outDir = opts.outDir;
-    wq.heartbeat = opts.heartbeat;
-    wq.faultKillCell = static_cast<int>(args.getInt("fault-kill-cell", -1));
-    wq.onCell = opts.onCell;
-    wq.storePath = opts.storePath;
-    wq.storeStripWall = opts.storeStripWall;
-    // Under --workers the per-process trace rings live in the workers;
-    // the coordinator merges them into --trace-out itself (pid = worker
-    // id), so finishTelemetryCli must not overwrite it with the
-    // coordinator's own (empty) ring.
-    wq.traceOut = args.get("trace-out");
-
-    campaign::WorkQueueCampaign wqc;
-    if (!campaign::runCampaignWorkQueue(spec, wq, wqc, err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 2;
-    }
-    for (const campaign::CellRecord& rec : wqc.cells) {
-      row("%-6d %-32s %10.0f %9.3f %2d/%-2d %8.2f  %s", rec.cell.index,
-          rec.cell.label.c_str(), rec.slotsMean, rec.decodeRateMean, rec.delivered,
-          rec.cell.spec.seeds, rec.wallMeanSec, rec.fromCache ? "cached" : "ran");
-    }
-    row("%s", "");
-    row("campaign: %zu/%d cells (shard %d/%d), %d cached, %d seed failures, %.2fs",
-        wqc.cells.size(), wqc.totalCells, wqc.shardIndex, wqc.shardCount, wqc.cachedCells(),
-        wqc.failures(), wqc.wallSec);
-    row("work queue: %llu leases, %llu requeues, %llu worker deaths, peak %zu pending "
-        "reduce nodes",
-        static_cast<unsigned long long>(wqc.leases),
-        static_cast<unsigned long long>(wqc.requeues),
-        static_cast<unsigned long long>(wqc.workerDeaths), wqc.peakPendingNodes);
-
-    std::string jsonPath;
-    if (!campaign::writeWorkQueueCampaignReport(wqc, wq.outDir, wq.outDir, jsonPath, err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", jsonPath.c_str());
-    std::string csv = csvPath;
-    if (csv.empty()) csv = args.get("csv");
-    if (csv.empty()) csv = wq.outDir + "/BENCH_sweep_" + wqc.name + ".csv";
-    if (!campaign::writeWorkQueueCampaignCsv(wqc, wq.outDir, csv, err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", csv.c_str());
-    if (!wq.storePath.empty()) std::printf("wrote %s\n", wq.storePath.c_str());
-    if (!wq.traceOut.empty() && telemetry::traceEnabled()) {
-      std::printf("wrote %s (merged worker traces)\n", wq.traceOut.c_str());
-    }
-
-    if (!finishTelemetryCli(args, wqc.wallSec, /*writeTrace=*/wq.traceOut.empty())) return 1;
-    return wqc.failures() > 0 ? 1 : 0;
-  }
-
-  CampaignResult campaign;
-  if (!runCampaign(spec, opts, campaign, err)) {
+  campaign::WorkQueueCampaign run;
+  if (!campaign::runCampaignWorkQueue(spec, opts, run, err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }
-  for (const CellResult& cell : campaign.cells) {
-    const Summary slots = cell.batch.summarizeSlots();
-    const Summary rate = cell.batch.summarizeDecodeRate();
-    const Summary wall = cell.batch.summarizeWallSec();
-    row("%-6d %-32s %10.0f %9.3f %2d/%-2d %8.2f  %s", cell.cell.index,
-        cell.cell.label.c_str(), slots.mean, rate.mean, cell.batch.deliveredCount(),
-        cell.cell.spec.seeds, wall.mean, cell.fromCache ? "cached" : "ran");
+  for (const campaign::CellRecord& rec : run.cells) {
+    row("%-6d %-32s %10.0f %9.3f %2d/%-2d %8.2f  %s", rec.cell.index, rec.cell.label.c_str(),
+        rec.slotsMean, rec.decodeRateMean, rec.delivered, rec.cell.spec.seeds, rec.wallMeanSec,
+        rec.fromCache ? "cached" : "ran");
   }
   row("%s", "");
   row("campaign: %zu/%d cells (shard %d/%d), %d cached, %d seed failures, %.2fs",
-      campaign.cells.size(), campaign.totalCells, campaign.shardIndex, campaign.shardCount,
-      campaign.cachedCells(), campaign.failures(), campaign.wallSec);
+      run.cells.size(), run.totalCells, run.shardIndex, run.shardCount, run.cachedCells(),
+      run.failures(), run.wallSec);
+  row("work queue: %d workers, %llu leases, %llu requeues, %llu worker deaths, peak %zu "
+      "pending reduce nodes",
+      opts.workers, static_cast<unsigned long long>(run.leases),
+      static_cast<unsigned long long>(run.requeues),
+      static_cast<unsigned long long>(run.workerDeaths), run.peakPendingNodes);
 
   std::string jsonPath;
-  if (!writeCampaignReport(campaign, opts.outDir, jsonPath, err)) {
+  if (!campaign::writeWorkQueueCampaignReport(run, opts.outDir, opts.outDir, jsonPath, err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 1;
   }
   std::printf("wrote %s\n", jsonPath.c_str());
   std::string csv = csvPath;
   if (csv.empty()) csv = args.get("csv");
-  if (csv.empty()) csv = opts.outDir + "/BENCH_sweep_" + campaign.name + ".csv";
-  if (!writeCampaignCsv(campaign, csv, err)) {
+  if (csv.empty()) csv = opts.outDir + "/BENCH_sweep_" + run.name + ".csv";
+  if (!campaign::writeWorkQueueCampaignCsv(run, opts.outDir, csv, err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 1;
   }
   std::printf("wrote %s\n", csv.c_str());
   if (!opts.storePath.empty()) std::printf("wrote %s\n", opts.storePath.c_str());
+  if (!opts.traceOut.empty() && telemetry::traceEnabled()) {
+    std::printf("wrote %s\n", opts.traceOut.c_str());
+  }
 
-  if (!finishTelemetryCli(args, campaign.wallSec)) return 1;
-
-  return campaign.failures() > 0 ? 1 : 0;
+  if (!finishTelemetryCli(args, run.wallSec, /*writeTrace=*/false)) return 1;
+  return run.failures() > 0 ? 1 : 0;
 }
 
 }  // namespace mcs::bench

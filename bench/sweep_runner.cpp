@@ -12,9 +12,10 @@
 // without running), --dry-run (like --cells plus each cell's fully
 // resolved `key = value` scenario — debug a sweep file without running
 // it), --shard=i/k (deterministic cell partition for CI matrices),
-// --threads (batch lanes per cell), --out-dir (report + cell JSON root),
-// --csv (long-form CSV path), --resume (skip cells whose cell JSON
-// already exists).
+// --workers=N (run cells in N forked worker processes; without it they run
+// in this process), --threads (batch lanes per cell), --out-dir (report +
+// cell JSON root), --csv (long-form CSV path), --resume (skip cells whose
+// cell JSON already exists).
 //
 // Output: BENCH_sweep_<name>.json (per-cell summary statistics over every
 // named metric and wall time, plus per-seed rows) and a long-form CSV —
@@ -46,8 +47,8 @@ int main(int argc, char** argv) {
   if (preset.empty() && file.empty()) {
     std::fprintf(stderr,
                  "usage: sweep_runner --list | --preset=<name> | --sweep=<file> "
-                 "[--shard=i/k] [--threads=N] [--out-dir=DIR] [--csv=PATH] [--resume] "
-                 "[--cells] [--dry-run] [overrides]\n");
+                 "[--workers=N] [--shard=i/k] [--threads=N] [--out-dir=DIR] [--csv=PATH] "
+                 "[--resume] [--cells] [--dry-run] [overrides]\n");
     return 2;
   }
   if (!preset.empty() && !SweepRegistry::find(preset, spec, err)) {

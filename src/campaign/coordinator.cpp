@@ -4,6 +4,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -83,6 +84,15 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
   out.shardIndex = opts.shardIndex;
   out.shardCount = opts.shardCount;
 
+  if (opts.workers < 0) {
+    err = "workers must be >= 0 (0 runs the cells in this process)";
+    return false;
+  }
+  if (opts.faultKillCell >= 0 && opts.workers == 0) {
+    err = "fault injection kills a worker process, so it needs workers > 0";
+    return false;
+  }
+
   std::vector<SweepCell> cells;
   if (!expandSweep(spec, cells, err)) return false;
   out.totalCells = static_cast<int>(cells.size());
@@ -107,14 +117,6 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
   std::unordered_map<int, std::size_t> leafOf;  // cell.index -> leaf/record position
   for (std::size_t i = 0; i < shardCells.size(); ++i) leafOf[shardCells[i]->index] = i;
 
-  const auto recordDisplayMeans = [](CellRecord& rec, const MetricStats& stats) {
-    for (const auto& [name, s] : stats) {
-      if (name == "slots") rec.slotsMean = s.moments.mean();
-      if (name == "decode_rate") rec.decodeRateMean = s.moments.mean();
-      if (name == "wall_sec") rec.wallMeanSec = s.moments.mean();
-    }
-  };
-
   store::StoreWriter storeWriter;
   if (!opts.storePath.empty()) {
     store::StoreMeta meta;
@@ -127,68 +129,82 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     meta.stripWall = opts.storeStripWall;
     if (!storeWriter.open(opts.storePath, meta, err)) return false;
   }
-  // Store rows land by slot, so arrival order is irrelevant to the file's
-  // final bytes.  Stats must be appended BEFORE the reducer consumes them.
-  const auto appendStoreRow = [&](std::size_t slot, const CellRecord& rec,
-                                  const MetricStats& stats, const MetricMap& tm,
-                                  const telemetry::ProbeState& probes, std::string& rowErr) {
-    if (!storeWriter.isOpen()) return true;
-    store::StoreCellRow row;
-    row.cellIndex = rec.cell.index;
-    row.label = rec.cell.label;
-    row.assignments = rec.cell.assignments;
-    row.seeds = rec.cell.spec.seeds;
-    row.failures = rec.failures;
-    row.delivered = rec.delivered;
-    row.valid = rec.valid;
-    row.invalid = rec.invalid;
-    row.stats = &stats;
-    row.telemetry = &tm;
-    row.probes = &probes;
-    return storeWriter.appendCell(slot, row, rowErr);
-  };
 
   TreeReducer reducer(shardCells.size());
-  const auto foldLeaf = [&](std::size_t leaf, MetricStats stats,
-                            telemetry::ProbeState probes) {
-    const double r0 = nowSec();
-    reducer.addLeaf(leaf, std::move(stats), std::move(probes));
-    telemetry::timerRecord(kReduce, static_cast<std::uint64_t>((nowSec() - r0) * 1e9));
-    if (reducer.pendingNodes() > out.peakPendingNodes) {
-      out.peakPendingNodes = reducer.pendingNodes();
-    }
+  std::deque<int> queue;  // pending cell indices, expansion order
+  std::vector<WorkerSlot> workers;
+  const auto liveWorkers = [&]() {
+    int n = 0;
+    for (const WorkerSlot& w : workers) n += w.proc.valid() ? 1 : 0;
+    return n;
   };
 
+  ProgressLine progress;
+  progress.enabled = opts.heartbeat;
+  progress.campaign = spec.name;
+  progress.shardCells = static_cast<int>(shardCells.size());
+  progress.t0 = t0;
   int done = 0;
-  const int shardTotal = static_cast<int>(shardCells.size());
+  int cached = 0;
+
+  // The one completion step, whichever lane ran the cell (or the resume
+  // pass loaded it): counters and display means into the record, the
+  // store row by slot — arrival order is irrelevant to the file's final
+  // bytes — and then the reduction leaf, which consumes the stats.
+  const auto completeCell = [&](std::size_t leaf, CellOutcome outcome, std::string& cellErr) {
+    CellRecord& rec = out.cells[leaf];
+    rec.failures = outcome.failures;
+    rec.delivered = outcome.delivered;
+    rec.valid = outcome.valid;
+    rec.invalid = outcome.invalid;
+    rec.wallSec = outcome.wallSec;
+    for (const auto& [name, s] : outcome.stats) {
+      if (name == "slots") rec.slotsMean = s.moments.mean();
+      if (name == "decode_rate") rec.decodeRateMean = s.moments.mean();
+      if (name == "wall_sec") rec.wallMeanSec = s.moments.mean();
+    }
+    if (storeWriter.isOpen()) {
+      store::StoreCellRow row;
+      row.cellIndex = rec.cell.index;
+      row.label = rec.cell.label;
+      row.assignments = rec.cell.assignments;
+      row.seeds = rec.cell.spec.seeds;
+      row.failures = rec.failures;
+      row.delivered = rec.delivered;
+      row.valid = rec.valid;
+      row.invalid = rec.invalid;
+      row.stats = &outcome.stats;
+      row.telemetry = &outcome.telemetry;
+      row.probes = &outcome.probes;
+      std::string rowErr;
+      if (!storeWriter.appendCell(leaf, row, rowErr)) {
+        cellErr = "cell " + std::to_string(rec.cell.index) + " store row: " + rowErr;
+        return false;
+      }
+    }
+    const double r0 = nowSec();
+    reducer.addLeaf(leaf, std::move(outcome.stats), std::move(outcome.probes));
+    telemetry::timerRecord(kReduce, static_cast<std::uint64_t>((nowSec() - r0) * 1e9));
+    out.peakPendingNodes = std::max(out.peakPendingNodes, reducer.pendingNodes());
+    ++done;
+    if (rec.fromCache) ++cached;
+    progress.emit(done, cached, queue.size(), liveWorkers(),
+                  done == static_cast<int>(shardCells.size()));
+    return true;
+  };
 
   // Resume pass: fold trusted cached cells before anything is leased.
-  std::deque<int> queue;  // pending cell indices, expansion order
   for (std::size_t i = 0; i < shardCells.size(); ++i) {
     const SweepCell& cell = *shardCells[i];
     if (opts.resume) {
       const std::string path = cellFilePath(opts.outDir, spec.name, cell.index);
-      CellResult cached;
+      CellResult hit;
       std::string loadErr;
-      if (std::filesystem::exists(path) && loadCellResult(path, cached, loadErr) &&
-          cellCacheMatches(cached, cell)) {
-        cached.cell = cell;
-        CellRecord& rec = out.cells[i];
-        rec.fromCache = true;
-        rec.failures = cached.batch.failures();
-        rec.delivered = cached.batch.deliveredCount();
-        rec.valid = cached.batch.validCount();
-        rec.invalid = cached.batch.invalidCount();
-        MetricStats stats = cellMetricStats(cached);
-        recordDisplayMeans(rec, stats);
-        std::string rowErr;
-        if (!appendStoreRow(i, rec, stats, cached.telemetry, cached.probes, rowErr)) {
-          err = "cell " + std::to_string(cell.index) + " store row: " + rowErr;
-          return false;
-        }
-        foldLeaf(i, std::move(stats), std::move(cached.probes));
+      if (std::filesystem::exists(path) && loadCellResult(path, hit, loadErr) &&
+          cellCacheMatches(hit, cell)) {
+        out.cells[i].fromCache = true;
+        if (!completeCell(i, cellOutcome(std::move(hit)), err)) return false;
         if (opts.onCell) opts.onCell(cell, true);
-        ++done;
         continue;
       }
       // Stale or unreadable: fall through and lease the cell.
@@ -196,25 +212,45 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     queue.push_back(cell.index);
   }
 
-  int workerCount = opts.workers;
-  if (workerCount <= 0) {
-    workerCount = static_cast<int>(std::thread::hardware_concurrency());
-    if (workerCount <= 0) workerCount = 2;
+  const auto noteLease = [&](std::size_t leaf) {
+    ++out.leases;
+    telemetry::counterAdd(kLeases);
+    if (opts.onCell) opts.onCell(*shardCells[leaf], false);
+  };
+
+  WorkerConfig cellCfg;
+  cellCfg.campaign = spec.name;
+  cellCfg.outDir = opts.outDir;
+  cellCfg.threads = opts.threads;
+
+  // Zero-worker lane: drain the queue here, one cell at a time.  The
+  // forked lane below then finds nothing to lease and spawns no workers.
+  if (opts.workers == 0) {
+    while (!queue.empty()) {
+      const std::size_t leaf = leafOf.at(queue.front());
+      queue.pop_front();
+      noteLease(leaf);
+      CellOutcome outcome;
+      if (!runCell(*shardCells[leaf], cellCfg, outcome, err)) {
+        err = "cell " + std::to_string(shardCells[leaf]->index) + ": " + err;
+        return false;
+      }
+      if (!completeCell(leaf, std::move(outcome), err)) return false;
+    }
   }
+
   // Never more workers than leases to hand out.
-  if (static_cast<std::size_t>(workerCount) > queue.size()) {
-    workerCount = static_cast<int>(queue.size());
-  }
+  const int workerCount = static_cast<int>(
+      std::min(static_cast<std::size_t>(opts.workers), queue.size()));
 
   const SigPipeGuard sigpipe;  // dead-worker writes must be EPIPE, not SIGPIPE
   // Per-worker trace dumps: distinct worker ordinals (respawns included)
   // keep pids and file names collision-free; the merge pass below folds
   // whatever files materialized into the single --trace-out trace.
-  const bool tracingWorkers = !opts.traceOut.empty() && telemetry::traceEnabled();
+  const bool tracing = !opts.traceOut.empty() && telemetry::traceEnabled();
   int nextWorkerId = 0;
   std::vector<std::string> workerTracePaths;
 
-  std::vector<WorkerSlot> workers;
   const auto liveFds = [&]() {
     std::vector<int> fds;
     for (const WorkerSlot& w : workers) {
@@ -223,12 +259,9 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     return fds;
   };
   const auto spawnWorker = [&]() -> bool {
-    WorkerConfig workerCfg;
-    workerCfg.campaign = spec.name;
-    workerCfg.outDir = opts.outDir;
-    workerCfg.threads = opts.threadsPerWorker;
+    WorkerConfig workerCfg = cellCfg;
     workerCfg.workerId = nextWorkerId++;
-    if (tracingWorkers) {
+    if (tracing) {
       workerCfg.tracePath = opts.traceOut + ".worker" + std::to_string(workerCfg.workerId);
       workerTracePaths.push_back(workerCfg.tracePath);
     }
@@ -245,11 +278,6 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     }
     workers.push_back(std::move(slot));
     return true;
-  };
-  const auto liveWorkers = [&]() {
-    int n = 0;
-    for (const WorkerSlot& w : workers) n += w.proc.valid() ? 1 : 0;
-    return n;
   };
   const auto teardown = [&]() {
     for (WorkerSlot& w : workers) {
@@ -270,12 +298,6 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     }
   }
 
-  ProgressLine progress;
-  progress.enabled = opts.heartbeat;
-  progress.campaign = spec.name;
-  progress.shardCells = shardTotal;
-  progress.t0 = t0;
-
   const auto sendLease = [&](WorkerSlot& w, int cellIndex) -> bool {
     Frame lease = makeFrame(FrameType::Lease);
     lease.body.set("cell", cellIndex);
@@ -283,12 +305,7 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
     if (!writeFrame(w.proc.fd, encodeFrame(lease), sendErr)) return false;
     w.leasedCell = cellIndex;
     w.leaseSentAt = nowSec();
-    ++out.leases;
-    telemetry::counterAdd(kLeases);
-    if (opts.onCell) {
-      const std::size_t leaf = leafOf.at(cellIndex);
-      opts.onCell(*shardCells[leaf], false);
-    }
+    noteLease(leafOf.at(cellIndex));
     return true;
   };
 
@@ -305,7 +322,7 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
   };
 
   std::string protocolErr;
-  while (done < shardTotal && protocolErr.empty()) {
+  while (done < static_cast<int>(shardCells.size()) && protocolErr.empty()) {
     // Lease to every idle live worker first.
     for (WorkerSlot& w : workers) {
       if (queue.empty()) break;
@@ -390,35 +407,8 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
           protocolErr = "worker returned unleased cell " + std::to_string(cellIndex);
           break;
         }
-        CellRecord& rec = out.cells[leafIt->second];
-        rec.failures = static_cast<int>(frame.body.numberAt("failures"));
-        rec.delivered = static_cast<int>(frame.body.numberAt("delivered"));
-        rec.valid = static_cast<int>(frame.body.numberAt("valid"));
-        rec.invalid = static_cast<int>(frame.body.numberAt("invalid"));
-        rec.wallSec = frame.body.numberAt("wall_sec");
-        const Json* moments = frame.body.find("moments");
-        MetricStats stats = moments ? momentsFromJson(*moments) : MetricStats{};
-        recordDisplayMeans(rec, stats);
-        const Json* probesJson = frame.body.find("probes");
-        telemetry::ProbeState probes =
-            probesJson ? telemetry::probesFromJson(*probesJson) : telemetry::ProbeState();
-        if (storeWriter.isOpen()) {
-          MetricMap tm;
-          if (const Json* tmJson = frame.body.find("telemetry");
-              tmJson != nullptr && tmJson->isObject()) {
-            for (const auto& [name, value] : tmJson->members()) tm.set(name, value.asDouble());
-          }
-          std::string rowErr;
-          if (!appendStoreRow(leafIt->second, rec, stats, tm, probes, rowErr)) {
-            protocolErr = "cell " + std::to_string(cellIndex) + " store row: " + rowErr;
-            break;
-          }
-        }
-        foldLeaf(leafIt->second, std::move(stats), std::move(probes));
+        if (!completeCell(leafIt->second, outcomeFromFrame(frame), protocolErr)) break;
         w.leasedCell = -1;
-        ++done;
-        progress.emit(done, out.cachedCells(), queue.size(), liveWorkers(),
-                      done == shardTotal);
         if (!queue.empty()) {
           const int next = queue.front();
           queue.pop_front();
@@ -468,12 +458,17 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
 
   if (storeWriter.isOpen() && !storeWriter.finish(err)) return false;
 
+  // Without workers every cell ran here, so this process's ring is the
+  // whole trace.
+  if (tracing && opts.workers == 0 && !telemetry::writeTraceFile(opts.traceOut, err)) {
+    return false;
+  }
   // Merge the per-worker trace dumps (written at DONE, which the drain
   // above waited for) into one Chrome trace: events concatenate verbatim —
   // each worker's events are already rebased within its own pid lane and
   // ts monotonicity is only checked per (pid, tid).  The coordinator runs
   // no simulation, so its own ring contributes nothing.
-  if (tracingWorkers) {
+  if (tracing && opts.workers > 0) {
     Json merged = Json::object();
     merged.set("displayTimeUnit", "ms");
     Json events = Json::array();

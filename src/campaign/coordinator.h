@@ -9,18 +9,23 @@
 #include "campaign/reduce.h"
 #include "sweep/expand.h"
 
-/// The campaign coordinator: multi-process work-queue execution of a
-/// sweep.  Expands the sweep once, forks N workers connected by
-/// socketpairs, and leases cells one at a time — a worker that finishes
-/// early simply asks for more by finishing, so skewed grids (one heavy
-/// axis value) load-balance instead of starving behind a static shard
-/// split.
+/// The campaign executor: runs a sweep's cells through one work queue.
+/// It expands the sweep once, runs the resume pass, and then leases the
+/// remaining cells to one of two lanes:
+///  - workers == 0: cells run one at a time in this process;
+///  - workers > 0: N forked workers connected by socketpairs, each leased
+///    one cell at a time — a worker that finishes early simply asks for
+///    more by finishing, so skewed grids (one heavy axis value)
+///    load-balance instead of starving behind a static shard split.
+/// Both lanes execute cells through campaign::runCell and hand the
+/// coordinator the same CellOutcome (directly, or through a RESULT frame),
+/// which then takes one completion step: record counters, store row by
+/// slot, reduction leaf, progress line.
 ///
 /// Contracts (locked by tests/test_campaign.cpp):
-///  - Every per-cell JSON is byte-identical to what the in-process
-///    single-threaded runner writes (wall times aside): workers run the
-///    same batch code, and per-cell results are thread- and
-///    process-count invariant.
+///  - Every per-cell JSON, report, CSV and store is byte-identical across
+///    lanes and worker counts (wall times aside): per-cell results are
+///    thread- and process-count invariant.
 ///  - Leases are idempotent: a cell is identified by its deterministic
 ///    expansion fingerprint, cell files are written atomically, and
 ///    re-running a cell reproduces the same bytes — so a lease lost to a
@@ -32,47 +37,50 @@
 /// Worker death (socket EOF, from crash or kill) requeues the in-flight
 /// lease and respawns a replacement, up to a death budget that turns a
 /// deterministically crashing cell into a campaign error instead of a
-/// fork loop.  Memory stays O(cells in flight): the coordinator keeps
-/// per-cell counter records and moment summaries, never per-seed rows —
-/// those live in the cell files, which report writers stream back in.
+/// fork loop.  Memory stays O(cells in flight) in both lanes: the
+/// coordinator keeps per-cell counter records and moment summaries, never
+/// per-seed rows — those live in the cell files, which the report writers
+/// (campaign/report.h) stream back in.
 namespace mcs::campaign {
 
 struct WorkQueueOptions {
-  /// Worker process count; 0 = hardware_concurrency.
+  /// Worker process count; 0 runs every cell in this process.
   int workers = 0;
-  /// ThreadPool lanes inside each worker's batch (default 1: process
-  /// parallelism replaces lane parallelism).
-  int threadsPerWorker = 1;
-  /// Shard of the cell grid to run; composes with --shard so a CI matrix
-  /// entry can itself run a work queue.
+  /// ThreadPool lanes inside each cell's seed batch.
+  int threads = 1;
+  /// Shard of the cell grid to run (cellInShard); composes with the work
+  /// queue so a CI matrix entry can itself run one.
   int shardIndex = 0;
   int shardCount = 1;
   /// Skip cells whose per-cell JSON already exists and matches (checked
-  /// in the coordinator before anything is leased).
+  /// before anything is leased).  Off by default: a fresh campaign
+  /// overwrites stale cell files instead of trusting them.
   bool resume = false;
+  /// Root for per-cell JSONs (`<outDir>/sweep_cells/<campaign>/cell_<i>.json`).
   std::string outDir = ".";
   /// Progress heartbeat on stderr (cells done, queue depth, live
   /// workers, throughput, ETA).
   bool heartbeat = false;
   /// Fault-injection hook for tests/CI: SIGKILL the worker holding this
   /// cell's *first* lease right after it acknowledges, forcing the
-  /// requeue path deterministically.  -1 = off.
+  /// requeue path deterministically.  -1 = off; needs workers > 0.
   int faultKillCell = -1;
   /// Progress hook, called when a cell is leased (or resumed from cache).
   std::function<void(const SweepCell&, bool cached)> onCell;
   /// When non-empty, stream every finished cell into the columnar
   /// campaign store at this path (store/writer.h).  Rows land by slot
   /// (expansion-order position), so the finished file is byte-identical
-  /// to the in-process runner's no matter which worker finished first.
+  /// no matter which worker finished first.
   std::string storePath;
   /// Zero the wall_sec stats in store rows (count survives) — the store
   /// analogue of stripWallTimes, for byte-for-byte comparisons.
   bool storeStripWall = false;
-  /// When non-empty (and tracing is armed), merge every worker's trace
-  /// ring into one Chrome trace at this path, with pid = workerId + 1 and
-  /// a process_name label per worker — one viewer lane per process.
-  /// Workers dump per-process files next to it (`<traceOut>.workerN`); the
-  /// coordinator concatenates them and deletes the intermediates.
+  /// When non-empty (and tracing is armed), write the campaign's Chrome
+  /// trace here.  With workers, every worker's ring is merged in with
+  /// pid = workerId + 1 and a process_name label per worker — one viewer
+  /// lane per process; workers dump per-process files next to it
+  /// (`<traceOut>.workerN`), which the merge deletes.  Without workers
+  /// this process's own ring is written.
   std::string traceOut;
 };
 
@@ -85,6 +93,7 @@ struct CellRecord {
   int delivered = 0;
   int valid = 0;
   int invalid = 0;
+  /// Seed-batch wall time of the run that produced the cell (0 if cached).
   double wallSec = 0.0;
   /// Display means lifted from the cell's moment record (the CLI table
   /// prints these without reloading the cell file).
@@ -106,7 +115,7 @@ struct WorkQueueCampaign {
   /// Tree-reduced campaign-wide per-metric statistics.
   MetricStats reduction;
   /// Tree-reduced campaign-wide probe aggregate (empty unless probes were
-  /// armed); byte-equivalent to the in-process runner's merged block.
+  /// armed).
   telemetry::ProbeState probes;
   /// Peak reducer frontier observed (memory diagnostics/tests).
   std::size_t peakPendingNodes = 0;
@@ -127,10 +136,10 @@ struct WorkQueueCampaign {
   }
 };
 
-/// Runs the campaign through the work queue.  Returns false on expansion
-/// errors, protocol failures, or an exhausted worker-death budget;
-/// per-seed failures inside cells do NOT fail the run (they are counted
-/// in the records, like the in-process runner).
+/// Runs the campaign (this shard's cells only).  Returns false on invalid
+/// options, expansion errors, unwritable cell files or store, protocol
+/// failures, or an exhausted worker-death budget; per-seed failures
+/// inside cells do NOT fail the run (they are counted in the records).
 bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
                           WorkQueueCampaign& out, std::string& err);
 

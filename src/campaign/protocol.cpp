@@ -141,6 +141,40 @@ MetricStats momentsFromJson(const Json& j) {
   return out;
 }
 
-MetricStats cellMetricStats(const CellResult& cell) { return cellStats(cell); }
+Frame resultFrame(int cell, const CellOutcome& outcome) {
+  Frame f = makeFrame(FrameType::Result);
+  f.body.set("cell", cell);
+  f.body.set("failures", outcome.failures);
+  f.body.set("delivered", outcome.delivered);
+  f.body.set("valid", outcome.valid);
+  f.body.set("invalid", outcome.invalid);
+  f.body.set("wall_sec", outcome.wallSec);
+  f.body.set("moments", momentsToJson(outcome.stats));
+  if (!outcome.telemetry.entries().empty()) {
+    Json tm = Json::object();
+    for (const auto& [name, value] : outcome.telemetry.entries()) tm.set(name, value);
+    f.body.set("telemetry", std::move(tm));
+  }
+  // Probe state round-trips losslessly through JSON, so the store rows
+  // and the reduction match the in-process lane's bytes.
+  if (!outcome.probes.empty()) f.body.set("probes", telemetry::probesToJson(outcome.probes));
+  return f;
+}
+
+CellOutcome outcomeFromFrame(const Frame& frame) {
+  const Json& b = frame.body;
+  CellOutcome out;
+  out.failures = static_cast<int>(b.numberAt("failures"));
+  out.delivered = static_cast<int>(b.numberAt("delivered"));
+  out.valid = static_cast<int>(b.numberAt("valid"));
+  out.invalid = static_cast<int>(b.numberAt("invalid"));
+  out.wallSec = b.numberAt("wall_sec");
+  if (const Json* moments = b.find("moments")) out.stats = momentsFromJson(*moments);
+  if (const Json* tm = b.find("telemetry"); tm != nullptr && tm->isObject()) {
+    for (const auto& [name, value] : tm->members()) out.telemetry.set(name, value.asDouble());
+  }
+  if (const Json* probes = b.find("probes")) out.probes = telemetry::probesFromJson(*probes);
+  return out;
+}
 
 }  // namespace mcs::campaign

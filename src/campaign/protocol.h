@@ -3,7 +3,8 @@
 #include <string>
 
 #include "campaign/reduce.h"
-#include "sweep/runner.h"
+#include "scenario/driver.h"
+#include "telemetry/probes.h"
 #include "util/json.h"
 
 /// The coordinator <-> worker wire protocol: length-prefixed JSON frames
@@ -56,14 +57,33 @@ struct Frame {
 /// shortest-round-trip formatting, so the coordinator-side merge is
 /// bit-identical to merging the original accumulators in process.
 /// Metric order is preserved (display order, NOT sorted): the store
-/// writer binds its column schema to this order, so the coordinator and
-/// the in-process runner must see the same sequence.
+/// writer binds its column schema to this order, so both lanes must hand
+/// the coordinator the same sequence.
 [[nodiscard]] Json momentsToJson(const MetricStats& stats);
 [[nodiscard]] MetricStats momentsFromJson(const Json& j);
 
-/// One cell's reduction leaf: cellStats(cell) from sweep/runner.h — the
-/// exact per-seed accumulation CellResult::summaries() reports, in
-/// display order (the reducer name-sorts on addLeaf).
-[[nodiscard]] MetricStats cellMetricStats(const CellResult& cell);
+/// One executed cell as the coordinator consumes it: batch counters,
+/// the cell's wall time, its per-metric accumulators (cellStats order),
+/// and the telemetry/probe attribution captured around its seed batch.
+/// The forked lane ships it in a RESULT frame; the in-process lane hands
+/// it over directly.  Per-seed rows are not here — they live in the cell
+/// file, which is written before the outcome is handed over.
+struct CellOutcome {
+  int failures = 0;
+  int delivered = 0;
+  int valid = 0;
+  int invalid = 0;
+  double wallSec = 0.0;
+  MetricStats stats;
+  MetricMap telemetry;
+  telemetry::ProbeState probes;
+};
+
+/// The RESULT frame for `cell`, and its inverse.  Both sides of the wire
+/// encoding live here so the worker and the coordinator cannot disagree
+/// on field names; a field missing from the frame decodes to its empty
+/// default.
+[[nodiscard]] Frame resultFrame(int cell, const CellOutcome& outcome);
+[[nodiscard]] CellOutcome outcomeFromFrame(const Frame& frame);
 
 }  // namespace mcs::campaign

@@ -49,11 +49,10 @@ bool writeWorkQueueCampaignReport(const WorkQueueCampaign& campaign,
     return false;
   }
 
-  // The envelope replicates campaignToJson's layout (and Json::dump's
-  // `"key": value, ` formatting) exactly, with the cells array spliced
-  // from the per-cell files instead of re-serialized — byte-identical
-  // because cellToJson round-trips through loadCellResult losslessly,
-  // so the worker-written file already holds the canonical bytes.
+  // The envelope follows Json::dump's `"key": value, ` formatting, with
+  // the cells array spliced from the per-cell files instead of
+  // re-serialized: the cell file already holds cellToJson's canonical
+  // bytes, whichever lane or process wrote it.
   Json meta = Json::object();
   meta.set("sweep", campaign.name);
   meta.set("base", campaign.baseName);
@@ -79,13 +78,15 @@ bool writeWorkQueueCampaignReport(const WorkQueueCampaign& campaign,
     f << bytes;
   }
   f << ']';
-  // Campaign-wide probe aggregate, between "cells" and "telemetry" like
-  // campaignToJson: the coordinator's tree-reduced root equals the
-  // in-process merge of the per-cell states (probe folds commute), so the
-  // blocks match byte-for-byte.
+  // Campaign-wide probe aggregate, between "cells" and "telemetry", present
+  // only when some cell captured probes: the tree-reduced root of the
+  // per-cell states (probe folds commute, so completion order cannot
+  // matter).
   if (!campaign.probes.empty()) {
     f << ", \"probes\": " << telemetry::probesToJson(campaign.probes).dump();
   }
+  // Campaign-wide counter/timer totals, present only when telemetry is
+  // enabled — the default report layout stays byte-identical.
   if (telemetry::enabled()) {
     const telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
     if (!snap.empty()) f << ", \"telemetry\": " << snap.toJson().dump();

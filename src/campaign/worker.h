@@ -3,29 +3,28 @@
 #include <string>
 #include <vector>
 
+#include "campaign/protocol.h"
 #include "sweep/expand.h"
+#include "sweep/runner.h"
 
-/// The campaign worker: the child side of the work-queue protocol.
-/// Forked from the coordinator after sweep expansion, so it already
-/// holds the full cell vector; it then loops — read LEASE, ack with
-/// HEARTBEAT, run the cell's seed batch, atomically write the per-cell
-/// JSON, stream the RESULT summary back — until a DONE frame (or EOF,
-/// meaning the coordinator died) ends it.
+/// Cell execution for the campaign executor (campaign/coordinator.h).
+/// runCell is the one cell body both lanes share: the zero-worker lane
+/// calls it in the coordinator's own process, and the forked lane's
+/// worker loop calls it once per lease.  Forked workers start after
+/// sweep expansion, so they already hold the full cell vector; the loop
+/// reads LEASE, acks with HEARTBEAT, runs the cell, streams the RESULT
+/// back, and ends on DONE (or EOF, meaning the coordinator died).
 ///
-/// Cell execution is byte-for-byte the in-process runner's: same
-/// runScenarioBatch call, same telemetry attribution, same
-/// writeCellFile — so every cell file a worker produces is identical to
-/// what a single-threaded `runCampaign` would have written (wall times
-/// aside), which is what makes leases idempotent and crash re-leasing
-/// safe.
+/// Because both lanes run the same body, a cell file is byte-identical
+/// whichever lane or process wrote it (wall times aside), which is what
+/// makes leases idempotent and crash re-leasing safe.
 namespace mcs::campaign {
 
 struct WorkerConfig {
   /// Campaign (sweep) name — names the cell-file directory.
   std::string campaign;
   std::string outDir = ".";
-  /// ThreadPool lanes per cell batch (<= 1: sequential seeds).  Workers
-  /// default to 1: process-level parallelism replaces lane parallelism.
+  /// ThreadPool lanes per cell batch (<= 1: sequential seeds).
   int threads = 1;
   /// Zero-based worker ordinal; tags trace events with pid = workerId + 1
   /// so merged traces keep one viewer lane per worker process.
@@ -35,6 +34,20 @@ struct WorkerConfig {
   /// into the single --trace-out trace and deletes them.
   std::string tracePath;
 };
+
+/// The outcome of an executed or cache-loaded cell: its batch counters,
+/// cellStats, telemetry and probes (moved out of `cell`).  wallSec is left
+/// 0 — only a run that just happened has a cell wall time.
+[[nodiscard]] CellOutcome cellOutcome(CellResult&& cell);
+
+/// Runs one cell: its seed batch, the telemetry delta and probe snapshot
+/// bracketing it, and the atomic cell-file write under cfg.outDir — the
+/// file lands before `out` is filled, so a handed-over outcome always has
+/// a complete cell file behind it.  Cells must run one at a time per
+/// process (the probe reset/snapshot pair brackets exactly one cell).
+/// False only when the cell file cannot be written.
+bool runCell(const SweepCell& cell, const WorkerConfig& cfg, CellOutcome& out,
+             std::string& err);
 
 /// Runs the worker protocol loop over `fd` until DONE or EOF.  Returns
 /// the child exit code: 0 on a clean DONE/EOF, nonzero on protocol or

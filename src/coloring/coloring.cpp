@@ -169,6 +169,8 @@ ColoringResult runColoring(Simulator& sim, const AggregationStructure& s) {
     const int k = heapOf(s, v);
     std::int64_t lo = rangeLo[vi] + ownBlock[vi];
     const int left = 2 * k;
+    // Only existing children are announced (childK <= F), so the left
+    // sibling's slot is in range too.
     if (childK == left) return lo;
     return lo + childCount[vi][static_cast<std::size_t>(left)];
   };
@@ -183,9 +185,10 @@ ColoringResult runColoring(Simulator& sim, const AggregationStructure& s) {
                 const int k = heapOf(s, v);
                 if (k < 0 || !tdma.active(v, round)) return Intent::idle();
                 // Parents with a known range announce the child of this
-                // parity at this level.
+                // parity at this level; heap indices above F have no node.
                 const int childK = 2 * k + parity;
-                if (rangeLo[vi] >= 0 && childK >= 1 && heapLevel(childK) == level &&
+                if (rangeLo[vi] >= 0 && childK >= 1 && childK <= F &&
+                    heapLevel(childK) == level &&
                     childCount[vi][static_cast<std::size_t>(childK)] > 0 &&
                     sim.rng(v).bernoulli(0.9)) {
                   Message m;

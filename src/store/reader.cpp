@@ -56,9 +56,23 @@ bool StoreReader::open(const std::string& path, std::string& err) {
     err = "store \"" + path + "\" was written on a different-endian machine";
     return false;
   }
-  if (header_->stringsOff + header_->stringsLen > size_ || header_->namesOff > size_ ||
-      header_->columnsOff > size_ || header_->blobOff + header_->blobLen > size_) {
+  // The header is untrusted input: every bound is written as
+  // `off <= size && len <= size - off`, because the naive `off + len >
+  // size` wraps on a crafted u64 and passes.
+  const auto fits = [this](std::uint64_t off, std::uint64_t len) {
+    return off <= size_ && len <= size_ - off;
+  };
+  if (!fits(header_->stringsOff, header_->stringsLen) || header_->namesOff > size_ ||
+      header_->columnsOff > size_ || !fits(header_->blobOff, header_->blobLen)) {
     err = "store \"" + path + "\" has sections past EOF (truncated?)";
+    return false;
+  }
+  // Names first: they bound axisCount + metricCount by the file size
+  // before the column layout is sized from them.
+  const std::uint64_t nameCount =
+      static_cast<std::uint64_t>(header_->axisCount) + header_->metricCount;
+  if (nameCount > (size_ - header_->namesOff) / 4) {
+    err = "store \"" + path + "\" names section past EOF";
     return false;
   }
 
@@ -68,6 +82,12 @@ bool StoreReader::open(const std::string& path, std::string& err) {
   columnOff_.reserve(layout.size());
   std::uint64_t pos = header_->columnsOff;
   for (std::uint32_t size : layout) {
+    // Guarded multiply: a huge `cells` must not wrap size * cells back
+    // onto a plausible offset.
+    if (pos > size_ || header_->cells > (size_ - pos) / size) {
+      err = "store \"" + path + "\" column section past EOF";
+      return false;
+    }
     columnOff_.push_back(pos);
     pos = alignUp8(pos + size * header_->cells);
   }
@@ -76,12 +96,6 @@ bool StoreReader::open(const std::string& path, std::string& err) {
     return false;
   }
 
-  const std::uint64_t namesEnd =
-      header_->namesOff + 4ull * (header_->axisCount + header_->metricCount);
-  if (namesEnd > size_) {
-    err = "store \"" + path + "\" names section past EOF";
-    return false;
-  }
   const char* names = map_ + header_->namesOff;
   axisNames_.clear();
   metricNames_.clear();
@@ -148,7 +162,7 @@ StoreReader::MetricView StoreReader::metric(std::size_t m) const {
 }
 
 const char* StoreReader::blobAt(std::uint64_t off, std::uint32_t len) const {
-  if (off + len > header_->blobLen) return nullptr;
+  if (off > header_->blobLen || len > header_->blobLen - off) return nullptr;
   return map_ + header_->blobOff + off;
 }
 

@@ -358,7 +358,7 @@ bool StoreWriter::finish(std::string& err) {
   const std::size_t pbLenField = colPbLen(axisCount, metricCount);
 
   // Canonical string table.  The spool interned strings in appendCell
-  // arrival order, which differs between the in-process runner and a
+  // arrival order, which differs between expansion order and a forked
   // work queue's completion order; re-pooling sorted (and remapping every
   // id on the way out) makes the final bytes a function of the string
   // SET, which is what the byte-identity contract needs.  Ids are fixed

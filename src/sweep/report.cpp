@@ -6,7 +6,7 @@
 #include <ostream>
 #include <system_error>
 
-#include "telemetry/telemetry.h"
+#include "telemetry/probes.h"
 #include "util/csv.h"
 #include "util/stats.h"
 
@@ -47,19 +47,6 @@ void stripWallTimes(Json& j) {
   } else if (j.isArray()) {
     for (Json& item : j.items()) stripWallTimes(item);
   }
-}
-
-Summary summaryFromJson(const Json& j) {
-  Summary s;
-  s.count = static_cast<std::size_t>(j.numberAt("count"));
-  s.mean = j.numberAt("mean");
-  s.stddev = j.numberAt("stddev");
-  s.ci95 = j.numberAt("ci95");
-  s.min = j.numberAt("min");
-  s.median = j.numberAt("p50");
-  s.p95 = j.numberAt("p95");
-  s.max = j.numberAt("max");
-  return s;
 }
 
 namespace {
@@ -146,46 +133,9 @@ Json cellToJson(const CellResult& cell) {
     j.set("telemetry", std::move(tm));
   }
   // Probe block only when probes were armed for this cell (same layout
-  // guarantee): sketches + series round-trip losslessly, so a resumed or
-  // worker-shipped cell reproduces the in-process probe bytes exactly.
+  // guarantee): sketches + series round-trip losslessly, so a resumed cell
+  // reproduces the freshly run probe bytes exactly.
   if (!cell.probes.empty()) j.set("probes", telemetry::probesToJson(cell.probes));
-  return j;
-}
-
-Json campaignToJson(const CampaignResult& campaign) {
-  Json j = Json::object();
-  j.set("name", "sweep_" + campaign.name);
-  j.set("kind", "sweep");
-  Json meta = Json::object();
-  meta.set("sweep", campaign.name);
-  meta.set("base", campaign.baseName);
-  meta.set("description", campaign.description);
-  meta.set("total_cells", campaign.totalCells);
-  meta.set("shard_index", campaign.shardIndex);
-  meta.set("shard_count", campaign.shardCount);
-  meta.set("cells_in_shard", static_cast<int>(campaign.cells.size()));
-  meta.set("cells_cached", campaign.cachedCells());
-  meta.set("failures", campaign.failures());
-  meta.set("wall_sec", campaign.wallSec);
-  j.set("meta", std::move(meta));
-  Json cells = Json::array();
-  for (const CellResult& cell : campaign.cells) cells.push_back(cellToJson(cell));
-  j.set("cells", std::move(cells));
-  // Campaign-wide probe aggregate: the merge of every cell's probe state
-  // (merge order cannot matter — sketch and series folds commute), present
-  // only when some cell captured probes.  Sits between "cells" and
-  // "telemetry"; the work-queue report writer replicates this layout.
-  {
-    telemetry::ProbeState merged;
-    for (const CellResult& cell : campaign.cells) merged.merge(cell.probes);
-    if (!merged.empty()) j.set("probes", telemetry::probesToJson(merged));
-  }
-  // Campaign-wide counter/timer totals, present only when telemetry is
-  // enabled — the default report layout stays byte-identical.
-  if (telemetry::enabled()) {
-    const telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
-    if (!snap.empty()) j.set("telemetry", snap.toJson());
-  }
   return j;
 }
 
@@ -250,19 +200,6 @@ bool loadCellResult(const std::string& path, CellResult& out, std::string& err) 
   }
   if (const Json* probes = j.find("probes"); probes != nullptr) {
     out.probes = telemetry::probesFromJson(*probes);
-  }
-  return true;
-}
-
-bool writeCampaignReport(const CampaignResult& campaign, const std::string& dir,
-                         std::string& pathOut, std::string& err) {
-  pathOut = dir + "/BENCH_sweep_" + campaign.name + ".json";
-  std::ofstream f(pathOut);
-  f << campaignToJson(campaign).dump() << '\n';
-  f.flush();
-  if (!f.good()) {
-    err = "cannot write campaign report \"" + pathOut + "\"";
-    return false;
   }
   return true;
 }
@@ -340,32 +277,6 @@ void appendCellCsvRows(std::ostream& f, const CellResult& cell,
     cols.push_back(formatDouble(value, 9));
     f << csvJoin(cols) << '\n';
   }
-}
-
-bool writeCampaignCsv(const CampaignResult& campaign, const std::string& path,
-                      std::string& err) {
-  std::ofstream f(path);
-  if (!f) {
-    err = "cannot write campaign CSV \"" + path + "\"";
-    return false;
-  }
-  std::vector<std::vector<std::pair<std::string, std::string>>> assignments;
-  assignments.reserve(campaign.cells.size());
-  for (const CellResult& cell : campaign.cells) assignments.push_back(cell.cell.assignments);
-  const std::vector<std::string> axisKeys = campaignAxisKeys(assignments);
-
-  std::vector<std::string> header = {"cell", "label"};
-  for (const std::string& key : axisKeys) header.push_back(key);
-  header.insert(header.end(), {"seed", "metric", "value"});
-  f << csvJoin(header) << '\n';
-
-  for (const CellResult& cell : campaign.cells) appendCellCsvRows(f, cell, axisKeys);
-  f.flush();
-  if (!f.good()) {
-    err = "cannot write campaign CSV \"" + path + "\"";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace mcs

@@ -8,10 +8,12 @@
 #include "sweep/runner.h"
 #include "util/json.h"
 
-/// Campaign serialization: per-cell JSONs (the resume substrate), the
-/// campaign-level BENCH_sweep_<name>.json artifact, and the long-form
-/// CSV.  The JSON layout is locked by a golden-file test; sweep_check
-/// consumes the campaign JSON, so layout changes need a baseline refresh.
+/// Per-cell serialization: the cell JSON every campaign writes (the resume
+/// substrate, and the bytes the campaign report splices in), its loader,
+/// and the per-cell CSV rows.  The campaign-level report and CSV writers
+/// (campaign/report.h) are built from these; their layout is locked by a
+/// golden-file test, and sweep_check consumes the report, so layout
+/// changes need a baseline refresh.
 namespace mcs {
 
 /// One cell as JSON: identity (index/label/assignments/scenario), batch
@@ -19,11 +21,9 @@ namespace mcs {
 [[nodiscard]] Json cellToJson(const CellResult& cell);
 
 /// A Summary as the JSON object the cell "summaries" block uses
-/// (count/mean/stddev/ci95/min/p50/p95/max), and its inverse.  Shared
-/// with the campaign worker protocol, which streams per-cell summary
-/// tables over the wire in exactly this layout.
+/// (count/mean/stddev/ci95/min/p50/p95/max).  Shared with the store query
+/// output, which prints group summaries in exactly this layout.
 [[nodiscard]] Json summaryToJson(const Summary& s);
-[[nodiscard]] Summary summaryFromJson(const Json& j);
 
 /// Zeroes every wall-clock field of a cell or campaign JSON tree in
 /// place (per-seed "wall_sec" values, the "wall_sec" summary block, and
@@ -31,10 +31,6 @@ namespace mcs {
 /// field in an otherwise bit-reproducible report, so the byte-identity
 /// tests and tooling compare dumps after this canonicalization.
 void stripWallTimes(Json& j);
-
-/// The whole campaign: name, sweep metadata (base, shard, cell counts),
-/// and every cell of this shard in expansion order.
-[[nodiscard]] Json campaignToJson(const CampaignResult& campaign);
 
 /// Writes one per-cell JSON (parent directory must exist).  The write is
 /// atomic — bytes land in `<path>.tmp` and rename() into place — so a
@@ -46,28 +42,15 @@ bool writeCellFile(const CellResult& cell, const std::string& path, std::string&
 /// summaries recomputable).  The inverse of writeCellFile.
 bool loadCellResult(const std::string& path, CellResult& out, std::string& err);
 
-/// Writes `BENCH_sweep_<name>.json` into `dir`; reports the path in
-/// `pathOut`.
-bool writeCampaignReport(const CampaignResult& campaign, const std::string& dir,
-                         std::string& pathOut, std::string& err);
-
-/// Long-form CSV: one row per (cell, seed, metric) with the campaign's
-/// axis keys as leading columns — `cell,label,<axis...>,seed,metric,value`.
-/// Metric names and labels pass through csvEscape.
-bool writeCampaignCsv(const CampaignResult& campaign, const std::string& path,
-                      std::string& err);
-
 /// The axis-key union over `assignments` lists in first-appearance order
-/// (the CSV's leading columns).  Factored out so the streaming CSV
-/// writer in campaign/report.cpp derives the identical header from cell
-/// summary records without materializing CellResults.
+/// (the CSV's leading columns), taken from the coordinator's cell records
+/// so the header is known before any cell file is read.
 [[nodiscard]] std::vector<std::string> campaignAxisKeys(
     const std::vector<std::vector<std::pair<std::string, std::string>>>& assignments);
 
-/// Appends one cell's CSV rows (per-seed, summary, telemetry) to an open
-/// stream under the given axis-key header.  writeCampaignCsv and the
-/// work-queue streaming writer share this, so both modes emit
-/// byte-identical rows for the same cell.
+/// Appends one cell's CSV rows to an open stream under the given axis-key
+/// header: per-seed rows, then the per-cell mean/ci95 summary rows, then
+/// telemetry rows.
 void appendCellCsvRows(std::ostream& f, const CellResult& cell,
                        const std::vector<std::string>& axisKeys);
 

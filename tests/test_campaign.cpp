@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -21,14 +18,15 @@
 #include "sweep/report.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
+#include "test_support.h"
 #include "util/framing.h"
 #include "util/json.h"
 #include "util/stats.h"
 
 // The multi-process campaign coordinator: wire framing, the frame
 // vocabulary, cross-process moment transport, the fixed-shape tree
-// reduction, and the headline contracts — work-queue cell files and
-// reports byte-identical to the in-process runner (wall times aside),
+// reduction, and the headline contracts — forked-lane cell files, reports
+// and stores byte-identical to the zero-worker lane's (wall times aside),
 // and worker-death requeues that leave no trace in the output.
 namespace mcs {
 namespace campaign {
@@ -36,24 +34,11 @@ namespace {
 
 // ---------------------------------------------------------------- framing
 
-std::string frameBytes(std::string_view payload) {
-  int fds[2] = {-1, -1};
-  EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  std::string err;
-  EXPECT_TRUE(writeFrame(fds[0], payload, err)) << err;
-  std::string wire(payload.size() + 4, '\0');
-  ssize_t got = read(fds[1], wire.data(), wire.size());
-  EXPECT_EQ(static_cast<std::size_t>(got), wire.size());
-  close(fds[0]);
-  close(fds[1]);
-  return wire;
-}
-
 TEST(Framing, RoundTripAcrossArbitraryChunkBoundaries) {
   const std::vector<std::string> payloads = {"", "x", R"({"type": "lease", "cell": 3})",
                                              std::string(1000, 'q')};
   std::string wire;
-  for (const std::string& p : payloads) wire += frameBytes(p);
+  for (const std::string& p : payloads) wire += test::frameWireBytes(p);
 
   // Feed the concatenated stream in every chunk size from 1 byte up:
   // frame boundaries never align with feed() boundaries.
@@ -284,13 +269,16 @@ TEST(WorkQueue, MatchesInProcessRunByteForByte) {
   const SweepSpec spec = tinySweep("wq_parity");
   std::string err;
 
-  // Reference: the in-process single-threaded runner.
-  CampaignOptions inproc;
+  // Reference: the zero-worker lane, every cell in this process.
+  WorkQueueOptions inproc;
+  inproc.workers = 0;
   inproc.outDir = dir + "/inproc";
-  CampaignResult ref;
-  ASSERT_TRUE(runCampaign(spec, inproc, ref, err)) << err;
+  WorkQueueCampaign ref;
+  ASSERT_TRUE(runCampaignWorkQueue(spec, inproc, ref, err)) << err;
+  EXPECT_EQ(ref.leases, 3u);
   std::string refReport;
-  ASSERT_TRUE(writeCampaignReport(ref, inproc.outDir, refReport, err)) << err;
+  ASSERT_TRUE(writeWorkQueueCampaignReport(ref, inproc.outDir, inproc.outDir, refReport, err))
+      << err;
 
   // Candidate: two forked workers over the lease protocol.
   WorkQueueOptions wq;
@@ -314,13 +302,13 @@ TEST(WorkQueue, MatchesInProcessRunByteForByte) {
         << "cell " << rec.cell.index;
   }
 
-  // Whole spliced report vs the in-process writer, same canonicalization.
+  // Whole report vs the zero-worker lane's, same canonicalization.
   EXPECT_EQ(canonicalJsonBytes(wqReport), canonicalJsonBytes(refReport));
 
   // CSVs too, modulo the wall_sec rows (drop them on both sides).
   const std::string refCsv = dir + "/ref.csv";
   const std::string wqCsv = dir + "/wq.csv";
-  ASSERT_TRUE(writeCampaignCsv(ref, refCsv, err)) << err;
+  ASSERT_TRUE(writeWorkQueueCampaignCsv(ref, inproc.outDir, refCsv, err)) << err;
   ASSERT_TRUE(writeWorkQueueCampaignCsv(run, wq.outDir, wqCsv, err)) << err;
   auto withoutWallRows = [](const std::string& csv) {
     std::istringstream in(csv);
@@ -338,7 +326,10 @@ TEST(WorkQueue, MatchesInProcessRunByteForByte) {
                                   [](const auto& kv) { return kv.first == "slots"; });
   ASSERT_NE(slots, run.reduction.end());
   OnlineStats expectSlots;
-  for (const CellResult& cell : ref.cells) {
+  for (const CellRecord& rec : ref.cells) {
+    CellResult cell;
+    ASSERT_TRUE(loadCellResult(cellFilePath(inproc.outDir, spec.name, rec.cell.index), cell, err))
+        << err;
     for (const SeedResult& r : cell.batch.perSeed) {
       if (r.error.empty()) expectSlots.add(static_cast<double>(r.slots));
     }
@@ -353,20 +344,20 @@ TEST(WorkQueue, StoreMatchesInProcessByteForByte) {
   // The columnar store is positional (rows land by slot, blobs are
   // reordered canonically at finish), so with wall times stripped the
   // 4-worker store must be the same FILE — not just the same data — as
-  // the in-process one.
+  // the zero-worker lane's.
   const std::string dir = testing::TempDir() + "wq_store";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const SweepSpec spec = tinySweep("wq_store");
   std::string err;
 
-  CampaignOptions inproc;
+  WorkQueueOptions inproc;
+  inproc.workers = 0;
   inproc.outDir = dir + "/inproc";
-  inproc.writeCellFiles = false;
   inproc.storePath = dir + "/inproc.store";
   inproc.storeStripWall = true;
-  CampaignResult ref;
-  ASSERT_TRUE(runCampaign(spec, inproc, ref, err)) << err;
+  WorkQueueCampaign ref;
+  ASSERT_TRUE(runCampaignWorkQueue(spec, inproc, ref, err)) << err;
 
   WorkQueueOptions wq;
   wq.workers = 4;
@@ -461,6 +452,20 @@ TEST(WorkQueue, WorkerCrashRequeuesTheLeaseAndReproducesTheBytes) {
         << "cell " << rec.cell.index;
   }
   EXPECT_EQ(canonicalJsonBytes(report), canonicalJsonBytes(refReport));
+}
+
+TEST(WorkQueue, FaultInjectionNeedsWorkers) {
+  // There is no worker process to kill when cells run in this process:
+  // the option is rejected up front instead of silently ignored.
+  WorkQueueOptions opts;
+  opts.workers = 0;
+  opts.outDir = testing::TempDir() + "wq_fault_inproc";
+  opts.faultKillCell = 0;
+  WorkQueueCampaign run;
+  std::string err;
+  EXPECT_FALSE(runCampaignWorkQueue(tinySweep("wq_fault_inproc"), opts, run, err));
+  EXPECT_NE(err.find("workers > 0"), std::string::npos) << err;
+  EXPECT_EQ(run.leases, 0u);
 }
 
 TEST(WorkQueue, ComposesWithSharding) {

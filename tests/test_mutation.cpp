@@ -1,0 +1,286 @@
+// Seeded mutation tests for the bytes the campaign executor reads back:
+// cell files (through loadCellResult, which resume and the CSV writer
+// use) and RESULT frames (through FrameDecoder + decodeFrame +
+// outcomeFromFrame, the forked lane's transport).  An in-repo mutator —
+// bit flips, truncations, splices — derives a bounded, fixed-seed corpus
+// from one real input of each kind; every mutant must either load or fail
+// with an error, and whatever loads must survive the consumers that read
+// it next.  Crashes and memory errors surface under the sanitizer build.
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "campaign/protocol.h"
+#include "campaign/reduce.h"
+#include "campaign/worker.h"
+#include "sweep/report.h"
+#include "sweep/runner.h"
+#include "sweep/spec.h"
+#include "telemetry/probes.h"
+#include "telemetry/telemetry.h"
+#include "test_support.h"
+#include "util/framing.h"
+#include "util/rng.h"
+
+namespace mcs::campaign {
+namespace {
+
+constexpr int kMutants = 1500;
+
+/// Bit flips, truncations and splices of a seed input, from a fixed seed.
+class Mutator {
+ public:
+  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
+
+  std::string mutate(const std::string& input, const std::string& donor) {
+    std::string out = input;
+    switch (rng_.below(3)) {
+      case 0: {  // flip 1..8 random bits
+        const std::uint64_t flips = 1 + rng_.below(8);
+        for (std::uint64_t i = 0; i < flips && !out.empty(); ++i) {
+          out[rng_.below(out.size())] ^= static_cast<char>(1u << rng_.below(8));
+        }
+        break;
+      }
+      case 1:  // truncate anywhere, including to nothing
+        out.resize(rng_.below(out.size() + 1));
+        break;
+      default: {  // splice: a prefix of the input onto a suffix of the donor
+        out.resize(rng_.below(out.size() + 1));
+        out += donor.substr(rng_.below(donor.size() + 1));
+        break;
+      }
+    }
+    return out;
+  }
+
+ private:
+  Rng rng_;
+};
+
+/// Applies edit `edit` to the `target`-th object member in depth-first
+/// order: 0 drops the member, 1..5 replace its value with null, a string,
+/// a small number, an empty array or an empty object.  False once
+/// `target` runs past the last member.
+bool editMember(Json& j, std::size_t& target, int edit) {
+  if (j.isArray()) {
+    for (Json& item : j.items()) {
+      if (editMember(item, target, edit)) return true;
+    }
+    return false;
+  }
+  auto& members = j.members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (target-- == 0) {
+      static const Json kReplacements[] = {Json(), Json("x"), Json(7.0), Json::array(),
+                                           Json::object()};
+      if (edit == 0) {
+        members.erase(members.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        members[i].second = kReplacements[edit - 1];
+      }
+      return true;
+    }
+    if (editMember(members[i].second, target, edit)) return true;
+  }
+  return false;
+}
+
+/// Depth-first object member paths, with array positions collapsed to
+/// "[]" so that, say, every window of a slot series shares one path.
+void memberPaths(const Json& j, const std::string& prefix, std::vector<std::string>& out) {
+  if (j.isArray()) {
+    for (const Json& item : j.items()) memberPaths(item, prefix + "[]", out);
+    return;
+  }
+  for (const auto& [key, value] : j.members()) {
+    const std::string path = prefix + "." + key;
+    out.push_back(path);
+    memberPaths(value, path, out);
+  }
+}
+
+/// Documents one structural edit away from the JSON `text`: the first
+/// member at every distinct path dropped or retyped.  These parse, so they
+/// reach the decoders behind the parser with missing and mistyped fields —
+/// what byte-level mutants almost never produce.
+std::vector<std::string> structuralMutants(const std::string& text) {
+  Json root;
+  std::string err;
+  EXPECT_TRUE(Json::parse(text, root, err)) << err;
+  std::vector<std::string> paths;
+  memberPaths(root, "", paths);
+  std::set<std::string> seen;
+  std::vector<std::string> out;
+  for (std::size_t target = 0; target < paths.size(); ++target) {
+    if (!seen.insert(paths[target]).second) continue;
+    for (int edit = 0; edit < 6; ++edit) {
+      Json copy = root;
+      std::size_t left = target;
+      EXPECT_TRUE(editMember(copy, left, edit));
+      out.push_back(copy.dump());
+    }
+  }
+  return out;
+}
+
+std::string readBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+/// One real cell, run with probes and metrics armed so its cell file and
+/// RESULT frame carry every block a decoder can meet: per-seed rows,
+/// metrics, telemetry, probe sketches and the slot series.
+struct RealCell {
+  std::string cellFile;
+  std::string resultWire;
+
+  RealCell() {
+    telemetry::resetMetrics();
+    telemetry::resetProbes();
+    telemetry::setProbesEnabled(true);
+    SweepSpec spec;
+    std::string err;
+    for (const auto& [key, value] :
+         {std::pair{"name", "mutation"}, std::pair{"base", "uniform_square"},
+          std::pair{"n", "60"}, std::pair{"seeds", "2"}, std::pair{"seed0", "1"},
+          std::pair{"channels", "2"}}) {
+      EXPECT_TRUE(applySweepKey(spec, key, value, "", err)) << err;
+    }
+    std::vector<SweepCell> cells;
+    EXPECT_TRUE(expandSweep(spec, cells, err)) << err;
+    WorkerConfig cfg;
+    cfg.campaign = spec.name;
+    // Keyed by the test name: ctest runs each test in its own process, in
+    // parallel, and each one builds this seed.
+    cfg.outDir = testing::TempDir() + "mutation_seed_" +
+                 testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(cfg.outDir);
+    CellOutcome outcome;
+    EXPECT_TRUE(runCell(cells.at(0), cfg, outcome, err)) << err;
+    telemetry::setProbesEnabled(false);
+    telemetry::setEnabled(false);
+    telemetry::resetProbes();
+    telemetry::resetMetrics();
+
+    cellFile = readBytes(cellFilePath(cfg.outDir, spec.name, 0));
+    resultWire = test::frameWireBytes(encodeFrame(resultFrame(0, outcome)));
+    std::filesystem::remove_all(cfg.outDir);
+  }
+};
+
+const RealCell& realCell() {
+  static const RealCell cell;
+  return cell;
+}
+
+TEST(Mutation, SeedInputsCarryEveryBlock) {
+  // Guards the corpus itself: a seed missing a block would leave that
+  // decoder unmutated.
+  const RealCell& real = realCell();
+  for (const char* block : {"\"per_seed\"", "\"metrics\"", "\"telemetry\"", "\"probes\"",
+                            "\"series\"", "\"margin_db\""}) {
+    EXPECT_NE(real.cellFile.find(block), std::string::npos) << block;
+  }
+  for (const char* block : {"\"moments\"", "\"telemetry\"", "\"probes\""}) {
+    EXPECT_NE(real.resultWire.find(block), std::string::npos) << block;
+  }
+}
+
+/// Loads `bytes` as a cell file the way resume does, then runs what the
+/// report writers do with a loaded cell; returns whether it loaded.
+bool loadsAsCellFile(const std::string& bytes, const std::string& path) {
+  // Remove, then create: truncating a file that holds data can force a
+  // synchronous writeback on some filesystems, which would dominate.
+  std::filesystem::remove(path);
+  std::ofstream(path, std::ios::binary) << bytes;
+  CellResult cell;
+  std::string err;
+  if (!loadCellResult(path, cell, err)) {
+    EXPECT_FALSE(err.empty()) << "a cell file failed to load without an error";
+    return false;
+  }
+  const NamedStats stats = cellStats(cell);
+  EXPECT_GE(stats.size(), 4u);
+  (void)cell.summaries();
+  std::ostringstream csv;
+  appendCellCsvRows(csv, cell, {"channels"});
+  EXPECT_FALSE(cellToJson(cell).dump().empty());
+  return true;
+}
+
+/// Feeds wire bytes through the coordinator's RESULT path — FrameDecoder,
+/// decodeFrame, outcomeFromFrame, a reduction fold; returns how many
+/// RESULT frames decoded.
+int resultsDecoded(const std::string& wire) {
+  FrameDecoder dec;
+  dec.feed(wire.data(), wire.size());
+  int decoded = 0;
+  std::string payload;
+  while (dec.next(payload)) {
+    Frame frame;
+    std::string err;
+    if (!decodeFrame(payload, frame, err)) {
+      EXPECT_FALSE(err.empty()) << "a frame failed to decode without an error";
+      continue;
+    }
+    if (frame.type != FrameType::Result) continue;
+    ++decoded;
+    CellOutcome outcome = outcomeFromFrame(frame);
+    TreeReducer reducer(1);
+    reducer.addLeaf(0, std::move(outcome.stats), std::move(outcome.probes));
+    for (const auto& [name, s] : reducer.root()) (void)s.summary();
+  }
+  return decoded;
+}
+
+TEST(Mutation, CellFilesLoadOrFailWithAnError) {
+  const RealCell& real = realCell();
+  const std::string path = testing::TempDir() + "mutation_cell.json";
+  Mutator mutator(20260917);
+  int loaded = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string& donor = (i & 1) ? real.resultWire : real.cellFile;
+    loaded += loadsAsCellFile(mutator.mutate(real.cellFile, donor), path) ? 1 : 0;
+  }
+  // The corpus must exercise both outcomes, or it tests nothing.
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kMutants);
+
+  const std::vector<std::string> structural = structuralMutants(real.cellFile);
+  EXPECT_GT(structural.size(), 300u);
+  loaded = 0;
+  for (const std::string& mutant : structural) loaded += loadsAsCellFile(mutant, path) ? 1 : 0;
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, static_cast<int>(structural.size()));  // e.g. per_seed dropped
+  std::filesystem::remove(path);
+}
+
+TEST(Mutation, ResultFramesDecodeOrFailWithAnError) {
+  const RealCell& real = realCell();
+  Mutator mutator(20260918);
+  int decoded = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string& donor = (i & 1) ? real.cellFile : real.resultWire;
+    decoded += resultsDecoded(mutator.mutate(real.resultWire, donor));
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, kMutants);
+
+  // Structural edits of the frame's JSON payload, re-framed.
+  for (const std::string& payload : structuralMutants(real.resultWire.substr(4))) {
+    (void)resultsDecoded(test::frameWireBytes(payload));
+  }
+}
+
+}  // namespace
+}  // namespace mcs::campaign

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -222,6 +225,48 @@ TEST(Store, DoubleWriteToOneSlotFails) {
   ASSERT_TRUE(w.open(path, meta, err)) << err;
   ASSERT_TRUE(w.appendCell(1, fx.rows[1], err)) << err;
   EXPECT_FALSE(w.appendCell(1, fx.rows[1], err));
+}
+
+/// A real fixture store with one u64 header field overwritten.
+std::string patchedStore(const std::string& name, std::size_t fieldOffset,
+                         std::uint64_t value) {
+  const Fixture fx;
+  const std::string path = testing::TempDir() + name + ".store";
+  std::string err;
+  EXPECT_TRUE(fx.write(path, {0, 1, 2, 3}, err)) << err;
+  std::string bytes = readFile(path);
+  EXPECT_GE(bytes.size(), sizeof(store::StoreHeader));
+  std::memcpy(bytes.data() + fieldOffset, &value, sizeof value);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  return path;
+}
+
+TEST(Store, OpenRejectsSectionBoundsThatWrap) {
+  // off + len wraps past 2^64 back below the file size: the naive bound
+  // check passes and the reader would map strings/blobs 2^64 - 8 bytes
+  // away.
+  for (const auto& [field, offset] :
+       {std::pair{"strings_off", offsetof(store::StoreHeader, stringsOff)},
+        std::pair{"blob_len", offsetof(store::StoreHeader, blobLen)}}) {
+    const std::string path = patchedStore(std::string("store_wrap_") + field, offset,
+                                          ~std::uint64_t{0} - 7);
+    store::StoreReader r;
+    std::string err;
+    EXPECT_FALSE(r.open(path, err)) << field;
+    EXPECT_NE(err.find("past EOF"), std::string::npos) << field << ": " << err;
+  }
+}
+
+TEST(Store, OpenRejectsACellCountWhoseColumnSizeWraps) {
+  // Every column is 4 or 8 bytes wide, so 4 + 2^62 cells wrap each
+  // column's size back to its real value: the section arithmetic still
+  // lands on the blob offset, and only a guarded multiply notices.
+  const std::string path = patchedStore("store_wrap_cells", offsetof(store::StoreHeader, cells),
+                                        4 + (std::uint64_t{1} << 62));
+  store::StoreReader r;
+  std::string err;
+  EXPECT_FALSE(r.open(path, err));
+  EXPECT_NE(err.find("column section past EOF"), std::string::npos) << err;
 }
 
 TEST(StoreQuery, GroupByMatchesManualMerge) {

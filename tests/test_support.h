@@ -1,12 +1,39 @@
 #pragma once
 
+#include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "mcs.h"
+#include "util/framing.h"
 
 /// Shared helpers for the mcsinr test suite.
 namespace mcs::test {
+
+/// The bytes writeFrame puts on a socket for `payload`: the real wire
+/// encoding, read back through a socketpair.
+inline std::string frameWireBytes(std::string_view payload) {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string err;
+  EXPECT_TRUE(writeFrame(fds[0], payload, err)) << err;
+  std::string wire(payload.size() + 4, '\0');
+  std::size_t got = 0;
+  while (got < wire.size()) {
+    const ssize_t n = read(fds[1], wire.data() + got, wire.size() - got);
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(got, wire.size());
+  close(fds[0]);
+  close(fds[1]);
+  return wire;
+}
 
 /// A connected-ish uniform deployment in a `side` x `side` square.
 inline Network makeUniformNetwork(int n, double side, std::uint64_t seed, Tuning tuning = {}) {

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "campaign/coordinator.h"
+#include "campaign/report.h"
 #include "scenario/registry.h"
 #include "sweep/check.h"
 #include "sweep/expand.h"
@@ -253,80 +255,106 @@ void expectSeedResultsEqual(const SeedResult& a, const SeedResult& b) {
   EXPECT_EQ(a.error, b.error);
 }
 
+/// Runs `spec` in this process (the executor's zero-worker lane), with
+/// cell files under `dir`.
+campaign::WorkQueueCampaign runInProcess(const SweepSpec& spec, campaign::WorkQueueOptions opts,
+                                         const std::string& dir) {
+  opts.workers = 0;
+  opts.outDir = dir;
+  campaign::WorkQueueCampaign run;
+  std::string err;
+  EXPECT_TRUE(campaign::runCampaignWorkQueue(spec, opts, run, err)) << err;
+  return run;
+}
+
+/// A cell's per-seed rows, read back from its cell file the way resume
+/// and the CSV writer read them.
+CellResult loadCell(const std::string& dir, const std::string& campaign, int index) {
+  CellResult cell;
+  std::string err;
+  EXPECT_TRUE(loadCellResult(cellFilePath(dir, campaign, index), cell, err)) << err;
+  return cell;
+}
+
+void expectBatchesEqual(const CellResult& a, const CellResult& b) {
+  ASSERT_EQ(a.batch.perSeed.size(), b.batch.perSeed.size());
+  for (std::size_t s = 0; s < a.batch.perSeed.size(); ++s) {
+    expectSeedResultsEqual(a.batch.perSeed[s], b.batch.perSeed[s]);
+  }
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream f(path);
+  EXPECT_TRUE(f.good()) << "cannot open " << path;
+  std::ostringstream buf;
+  buf << f.rdbuf();
+  return buf.str();
+}
+
 TEST(CampaignRunner, ShardsReproduceTheFullCampaign) {
   const SweepSpec spec = tinySweep();
-  CampaignOptions opts;
-  opts.writeCellFiles = false;
-  CampaignResult full;
-  std::string err;
-  ASSERT_TRUE(runCampaign(spec, opts, full, err)) << err;
+  const std::string dir = testing::TempDir() + "sweep_shards";
+  std::filesystem::remove_all(dir);
+  const campaign::WorkQueueCampaign full = runInProcess(spec, {}, dir + "/full");
   ASSERT_EQ(full.cells.size(), 3u);
 
-  std::vector<const CellResult*> merged(3, nullptr);
-  CampaignResult shards[2];
+  std::vector<std::string> owner(3);  // the shard directory holding each cell
   for (int s = 0; s < 2; ++s) {
-    CampaignOptions shardOpts = opts;
+    campaign::WorkQueueOptions shardOpts;
     shardOpts.shardIndex = s;
     shardOpts.shardCount = 2;
-    ASSERT_TRUE(runCampaign(spec, shardOpts, shards[s], err)) << err;
-    EXPECT_EQ(shards[s].totalCells, 3);
-    for (const CellResult& cell : shards[s].cells) {
-      ASSERT_LT(static_cast<std::size_t>(cell.cell.index), merged.size());
-      EXPECT_EQ(merged[static_cast<std::size_t>(cell.cell.index)], nullptr)
-          << "cell owned by two shards";
-      merged[static_cast<std::size_t>(cell.cell.index)] = &cell;
+    const std::string shardDir = dir + "/shard" + std::to_string(s);
+    const campaign::WorkQueueCampaign shard = runInProcess(spec, shardOpts, shardDir);
+    EXPECT_EQ(shard.totalCells, 3);
+    for (const campaign::CellRecord& rec : shard.cells) {
+      const auto index = static_cast<std::size_t>(rec.cell.index);
+      ASSERT_LT(index, owner.size());
+      EXPECT_TRUE(owner[index].empty()) << "cell owned by two shards";
+      owner[index] = shardDir;
     }
   }
   // Together the shards cover exactly the full grid, bit-identical per cell.
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    ASSERT_NE(merged[i], nullptr) << "cell " << i << " unowned";
-    EXPECT_EQ(merged[i]->cell.label, full.cells[i].cell.label);
-    ASSERT_EQ(merged[i]->batch.perSeed.size(), full.cells[i].batch.perSeed.size());
-    for (std::size_t s = 0; s < full.cells[i].batch.perSeed.size(); ++s) {
-      expectSeedResultsEqual(merged[i]->batch.perSeed[s], full.cells[i].batch.perSeed[s]);
-    }
+  for (std::size_t i = 0; i < owner.size(); ++i) {
+    ASSERT_FALSE(owner[i].empty()) << "cell " << i << " unowned";
+    const CellResult sharded = loadCell(owner[i], spec.name, static_cast<int>(i));
+    const CellResult whole = loadCell(dir + "/full", spec.name, static_cast<int>(i));
+    EXPECT_EQ(sharded.cell.label, full.cells[i].cell.label);
+    expectBatchesEqual(sharded, whole);
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignRunner, ResumeSkipsExistingCells) {
   const SweepSpec spec = tinySweep();
   const std::string dir = testing::TempDir() + "sweep_resume";
   std::filesystem::remove_all(dir);
-  CampaignOptions opts;
-  opts.outDir = dir;
-  CampaignResult first;
-  std::string err;
-  ASSERT_TRUE(runCampaign(spec, opts, first, err)) << err;
+  const campaign::WorkQueueCampaign first = runInProcess(spec, {}, dir);
   EXPECT_EQ(first.cachedCells(), 0);
+  std::vector<CellResult> firstCells;
+  for (int i = 0; i < 3; ++i) firstCells.push_back(loadCell(dir, spec.name, i));
 
+  campaign::WorkQueueOptions opts;
   opts.resume = true;
-  CampaignResult second;
-  ASSERT_TRUE(runCampaign(spec, opts, second, err)) << err;
+  const campaign::WorkQueueCampaign second = runInProcess(spec, opts, dir);
   EXPECT_EQ(second.cachedCells(), 3);
-  for (std::size_t i = 0; i < first.cells.size(); ++i) {
-    ASSERT_EQ(second.cells[i].batch.perSeed.size(), first.cells[i].batch.perSeed.size());
-    for (std::size_t s = 0; s < first.cells[i].batch.perSeed.size(); ++s) {
-      const SeedResult& a = first.cells[i].batch.perSeed[s];
-      const SeedResult& b = second.cells[i].batch.perSeed[s];
-      EXPECT_EQ(a.slots, b.slots);
-      EXPECT_EQ(a.metrics, b.metrics);
-    }
+  EXPECT_EQ(second.leases, 0u);
+  for (std::size_t i = 0; i < second.cells.size(); ++i) {
+    EXPECT_EQ(second.cells[i].slotsMean, first.cells[i].slotsMean);
+    EXPECT_EQ(second.cells[i].delivered, first.cells[i].delivered);
+    expectBatchesEqual(loadCell(dir, spec.name, static_cast<int>(i)), firstCells[i]);
   }
 
   // A stale cell file must be re-run, not trusted: a different seed
   // batch, but also any fixed scenario key the label doesn't show (the
   // stored spec fingerprint catches both).
+  std::string err;
   SweepSpec changed = tinySweep();
   ASSERT_TRUE(applySweepOverride(changed, "seed0", "7", err)) << err;
-  CampaignResult third;
-  ASSERT_TRUE(runCampaign(changed, opts, third, err)) << err;
-  EXPECT_EQ(third.cachedCells(), 0);
+  EXPECT_EQ(runInProcess(changed, opts, dir).cachedCells(), 0);
 
   SweepSpec resized = tinySweep();
   ASSERT_TRUE(applySweepOverride(resized, "n", "80", err)) << err;
-  CampaignResult fourth;
-  ASSERT_TRUE(runCampaign(resized, opts, fourth, err)) << err;
-  EXPECT_EQ(fourth.cachedCells(), 0);
+  EXPECT_EQ(runInProcess(resized, opts, dir).cachedCells(), 0);
   std::filesystem::remove_all(dir);
 }
 
@@ -334,11 +362,9 @@ TEST(CampaignRunner, ResumeRerunsCorruptCellFilesAndLeavesNoTempFiles) {
   const SweepSpec spec = tinySweep();
   const std::string dir = testing::TempDir() + "sweep_resume_corrupt";
   std::filesystem::remove_all(dir);
-  CampaignOptions opts;
-  opts.outDir = dir;
-  CampaignResult first;
-  std::string err;
-  ASSERT_TRUE(runCampaign(spec, opts, first, err)) << err;
+  runInProcess(spec, {}, dir);
+  std::vector<CellResult> firstCells;
+  for (int i = 0; i < 3; ++i) firstCells.push_back(loadCell(dir, spec.name, i));
 
   // The atomic tmp+rename write must leave no *.tmp droppings behind.
   for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
@@ -366,63 +392,60 @@ TEST(CampaignRunner, ResumeRerunsCorruptCellFilesAndLeavesNoTempFiles) {
     f << "not json at all";
   }
 
+  campaign::WorkQueueOptions opts;
   opts.resume = true;
-  CampaignResult second;
-  ASSERT_TRUE(runCampaign(spec, opts, second, err)) << err;
+  const campaign::WorkQueueCampaign second = runInProcess(spec, opts, dir);
   EXPECT_EQ(second.cachedCells(), 1);
   EXPECT_FALSE(second.cells[0].fromCache);
   EXPECT_TRUE(second.cells[1].fromCache);
   EXPECT_FALSE(second.cells[2].fromCache);
   // The re-run repaired the files in place.
-  CellResult repaired;
-  EXPECT_TRUE(loadCellResult(cell0, repaired, err)) << err;
-  EXPECT_TRUE(loadCellResult(cell2, repaired, err)) << err;
-  for (std::size_t i = 0; i < first.cells.size(); ++i) {
-    ASSERT_EQ(second.cells[i].batch.perSeed.size(), first.cells[i].batch.perSeed.size());
-    for (std::size_t s = 0; s < first.cells[i].batch.perSeed.size(); ++s) {
-      expectSeedResultsEqual(second.cells[i].batch.perSeed[s], first.cells[i].batch.perSeed[s]);
-    }
+  for (int i = 0; i < 3; ++i) {
+    expectBatchesEqual(loadCell(dir, spec.name, i), firstCells[static_cast<std::size_t>(i)]);
   }
   std::filesystem::remove_all(dir);
 }
 
 TEST(SweepReport, CellJsonRoundTrip) {
   const SweepSpec spec = tinySweep();
-  CampaignOptions opts;
-  opts.writeCellFiles = false;
-  CampaignResult campaign;
-  std::string err;
-  ASSERT_TRUE(runCampaign(spec, opts, campaign, err)) << err;
+  const std::string dir = testing::TempDir() + "cell_roundtrip";
+  std::filesystem::remove_all(dir);
+  const campaign::WorkQueueCampaign run = runInProcess(spec, {}, dir);
+  ASSERT_EQ(run.cells.size(), 3u);
 
-  const std::string path = testing::TempDir() + "cell_roundtrip.json";
-  ASSERT_TRUE(writeCellFile(campaign.cells[1], path, err)) << err;
-  CellResult loaded;
-  ASSERT_TRUE(loadCellResult(path, loaded, err)) << err;
+  const CellResult loaded = loadCell(dir, spec.name, 1);
   EXPECT_EQ(loaded.cell.index, 1);
-  EXPECT_EQ(loaded.cell.label, campaign.cells[1].cell.label);
-  EXPECT_EQ(loaded.cell.assignments, campaign.cells[1].cell.assignments);
-  ASSERT_EQ(loaded.batch.perSeed.size(), campaign.cells[1].batch.perSeed.size());
-  for (std::size_t s = 0; s < loaded.batch.perSeed.size(); ++s) {
-    const SeedResult& a = campaign.cells[1].batch.perSeed[s];
-    const SeedResult& b = loaded.batch.perSeed[s];
-    EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.slots, b.slots);
-    EXPECT_DOUBLE_EQ(a.decodeRate, b.decodeRate);
-    EXPECT_EQ(a.metrics, b.metrics);
-    EXPECT_EQ(a.validity, b.validity);
-  }
-  std::filesystem::remove(path);
+  EXPECT_EQ(loaded.cell.label, run.cells[1].cell.label);
+  EXPECT_EQ(loaded.cell.assignments, run.cells[1].cell.assignments);
+  ASSERT_EQ(static_cast<int>(loaded.batch.perSeed.size()), run.cells[1].cell.spec.seeds);
+  EXPECT_EQ(loaded.batch.deliveredCount(), run.cells[1].delivered);
+
+  // Writing the loaded cell back — with the expanded cell's spec, which the
+  // file only stores as a fingerprint — reproduces the file byte for byte:
+  // the per-seed rows, telemetry and probes round-trip losslessly.
+  std::string err;
+  const std::string path = dir + "/roundtrip.json";
+  CellResult rewrite = loaded;
+  rewrite.cell = run.cells[1].cell;
+  ASSERT_TRUE(writeCellFile(rewrite, path, err)) << err;
+  EXPECT_EQ(readFile(path), readFile(cellFilePath(dir, spec.name, 1)));
+  std::filesystem::remove_all(dir);
 }
 
 /// A synthetic two-cell campaign with fixed numbers (no real runs), used
-/// by the golden-layout and sweep_check tests.
-CampaignResult syntheticCampaign(double wallScale = 1.0, double slotScale = 1.0) {
-  CampaignResult campaign;
+/// by the golden-layout and sweep_check tests: its cell files are written
+/// under `dir` and the returned records describe the first `keepCells`
+/// of them, the shape the report writers consume.
+campaign::WorkQueueCampaign syntheticCampaign(const std::string& dir, double wallScale = 1.0,
+                                              double slotScale = 1.0, int keepCells = 2) {
+  campaign::WorkQueueCampaign campaign;
   campaign.name = "golden";
   campaign.baseName = "uniform_square";
   campaign.description = "golden: base=uniform_square channels[2]";
   campaign.totalCells = 2;
   campaign.wallSec = 0.25 * wallScale;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/sweep_cells/golden");
   for (int c = 0; c < 2; ++c) {
     CellResult cell;
     cell.cell.index = c;
@@ -450,38 +473,56 @@ CampaignResult syntheticCampaign(double wallScale = 1.0, double slotScale = 1.0)
       r.wallSec = (0.1 + 0.01 * s) * wallScale;
       cell.batch.perSeed.push_back(std::move(r));
     }
-    campaign.cells.push_back(std::move(cell));
+    std::string err;
+    EXPECT_TRUE(writeCellFile(cell, cellFilePath(dir, campaign.name, c), err)) << err;
+    if (c >= keepCells) continue;
+    campaign::CellRecord rec;
+    rec.cell = cell.cell;
+    rec.failures = cell.batch.failures();
+    campaign.cells.push_back(std::move(rec));
   }
   return campaign;
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream f(path);
-  EXPECT_TRUE(f.good()) << "cannot open " << path;
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return buf.str();
+/// The synthetic campaign's report, as sweep_check reads it.  ctest runs
+/// every test in its own process, in parallel, so the scratch directory
+/// is keyed by the test name as well as the call.
+Json syntheticReport(double wallScale = 1.0, double slotScale = 1.0, int keepCells = 2) {
+  static int calls = 0;
+  const std::string dir = testing::TempDir() + "synthetic_" +
+                          testing::UnitTest::GetInstance()->current_test_info()->name() +
+                          "_" + std::to_string(calls++);
+  const campaign::WorkQueueCampaign campaign =
+      syntheticCampaign(dir, wallScale, slotScale, keepCells);
+  std::string path, err;
+  EXPECT_TRUE(campaign::writeWorkQueueCampaignReport(campaign, dir, dir, path, err)) << err;
+  Json j;
+  EXPECT_TRUE(Json::parseFile(path, j, err)) << err;
+  std::filesystem::remove_all(dir);
+  return j;
 }
 
 TEST(SweepReport, GoldenJsonAndCsvLayout) {
-  const CampaignResult campaign = syntheticCampaign();
-  const std::string json = campaignToJson(campaign).dump() + "\n";
-  EXPECT_EQ(json, readFile(std::string(MCS_SOURCE_DIR) + "/tests/golden/campaign.json"))
+  const std::string dir = testing::TempDir() + "golden_campaign";
+  const campaign::WorkQueueCampaign campaign = syntheticCampaign(dir);
+  std::string jsonPath, err;
+  ASSERT_TRUE(campaign::writeWorkQueueCampaignReport(campaign, dir, dir, jsonPath, err)) << err;
+  EXPECT_EQ(readFile(jsonPath),
+            readFile(std::string(MCS_SOURCE_DIR) + "/tests/golden/campaign.json"))
       << "campaign JSON layout changed: refresh tests/golden/campaign.json AND the "
          "committed sweeps/baseline.json (see sweeps/smoke.sweep)";
 
-  const std::string csvPath = testing::TempDir() + "golden_campaign.csv";
-  std::string err;
-  ASSERT_TRUE(writeCampaignCsv(campaign, csvPath, err)) << err;
+  const std::string csvPath = dir + "/golden_campaign.csv";
+  ASSERT_TRUE(campaign::writeWorkQueueCampaignCsv(campaign, dir, csvPath, err)) << err;
   EXPECT_EQ(readFile(csvPath),
             readFile(std::string(MCS_SOURCE_DIR) + "/tests/golden/campaign.csv"))
       << "campaign CSV layout changed: refresh tests/golden/campaign.csv";
-  std::filesystem::remove(csvPath);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepCheck, PassesOnIdenticalCampaigns) {
-  const Json a = campaignToJson(syntheticCampaign());
-  const Json b = campaignToJson(syntheticCampaign());
+  const Json a = syntheticReport();
+  const Json b = syntheticReport();
   const SweepCheckResult r = compareCampaigns(a, b, SweepCheckOptions{});
   EXPECT_TRUE(r.ok()) << (r.violations.empty() ? "" : r.violations[0]);
   EXPECT_EQ(r.cellsCompared, 2);
@@ -489,9 +530,9 @@ TEST(SweepCheck, PassesOnIdenticalCampaigns) {
 }
 
 TEST(SweepCheck, FailsOnInjectedWallTimeRegression) {
-  const Json baseline = campaignToJson(syntheticCampaign());
+  const Json baseline = syntheticReport();
   // 20% slower everywhere, identical metrics.
-  const Json slower = campaignToJson(syntheticCampaign(1.2));
+  const Json slower = syntheticReport(1.2);
   SweepCheckOptions opts;
   opts.wallTol = 0.1;
   const SweepCheckResult r = compareCampaigns(baseline, slower, opts);
@@ -504,13 +545,13 @@ TEST(SweepCheck, FailsOnInjectedWallTimeRegression) {
   EXPECT_TRUE(compareCampaigns(baseline, slower, opts).ok());
   // ...and a *speedup* never fails, even at zero tolerance.
   opts.wallTol = 0.0;
-  const Json faster = campaignToJson(syntheticCampaign(0.5));
+  const Json faster = syntheticReport(0.5);
   EXPECT_TRUE(compareCampaigns(baseline, faster, opts).ok());
 }
 
 TEST(SweepCheck, FailsOnMetricDrift) {
-  const Json baseline = campaignToJson(syntheticCampaign());
-  const Json drifted = campaignToJson(syntheticCampaign(1.0, 1.1));  // slots +10%
+  const Json baseline = syntheticReport();
+  const Json drifted = syntheticReport(1.0, 1.1);  // slots +10%
   SweepCheckOptions opts;
   opts.metricTol = 0.05;
   const SweepCheckResult r = compareCampaigns(baseline, drifted, opts);
@@ -525,10 +566,8 @@ TEST(SweepCheck, FailsOnMetricDrift) {
 }
 
 TEST(SweepCheck, MissingCellsAndSubsets) {
-  const Json baseline = campaignToJson(syntheticCampaign());
-  CampaignResult half = syntheticCampaign();
-  half.cells.pop_back();
-  const Json candidate = campaignToJson(half);
+  const Json baseline = syntheticReport();
+  const Json candidate = syntheticReport(1.0, 1.0, /*keepCells=*/1);
   SweepCheckOptions opts;
   EXPECT_FALSE(compareCampaigns(baseline, candidate, opts).ok());
   opts.allowMissing = true;
@@ -581,10 +620,14 @@ TEST(SweepFiles, SmokeBaselineMatchesAFreshRun) {
   std::string err;
   ASSERT_TRUE(loadSweepFile(spec, std::string(MCS_SOURCE_DIR) + "/sweeps/smoke.sweep", err))
       << err;
-  CampaignOptions opts;
-  opts.writeCellFiles = false;
-  CampaignResult campaign;
-  ASSERT_TRUE(runCampaign(spec, opts, campaign, err)) << err;
+  const std::string dir = testing::TempDir() + "sweep_smoke";
+  std::filesystem::remove_all(dir);
+  const campaign::WorkQueueCampaign run = runInProcess(spec, {}, dir);
+  std::string reportPath;
+  ASSERT_TRUE(campaign::writeWorkQueueCampaignReport(run, dir, dir, reportPath, err)) << err;
+  Json report;
+  ASSERT_TRUE(Json::parseFile(reportPath, report, err)) << err;
+  std::filesystem::remove_all(dir);
 
   Json baseline;
   ASSERT_TRUE(
@@ -593,7 +636,7 @@ TEST(SweepFiles, SmokeBaselineMatchesAFreshRun) {
   SweepCheckOptions check;
   check.metricTol = 0.2;
   check.wallTol = 1e9;
-  const SweepCheckResult r = compareCampaigns(baseline, campaignToJson(campaign), check);
+  const SweepCheckResult r = compareCampaigns(baseline, report, check);
   EXPECT_TRUE(r.ok()) << (r.violations.empty() ? "" : r.violations[0])
                       << "\n(seed pipeline changed? regenerate sweeps/baseline.json per "
                          "sweeps/smoke.sweep)";
