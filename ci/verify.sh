@@ -32,7 +32,7 @@ for required in uniform_square corridor aloha_patch exponential_chain \
                 mobile_agg_max mobile_agg_sum mobile_aloha mobile_structure \
                 mobile_coloring mobile_palette mobile_csa mobile_ruling \
                 mobile_dominators mobile_chain mobile_nearfar; do
-  echo "${presets}" | grep -qx "${required}" \
+  echo "${presets}" | grep -x "${required}" >/dev/null \
     || { echo "FAIL: registry is missing required preset ${required}"; exit 1; }
 done
 
@@ -148,7 +148,7 @@ cmp bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
 ./bench/sweep_query bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
   --group-by=channels --select=slots,decode_rate
 ./bench/sweep_query bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
-  --group-by=channels --format=json | grep -q '"decode_rate"' \
+  --group-by=channels --format=json | grep '"decode_rate"' >/dev/null \
   || { echo "FAIL: sweep_query json output missing decode_rate"; exit 1; }
 
 # Sharded stores union in one query (disjoint cell indices merge), and
@@ -159,7 +159,7 @@ cmp bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
   --store --store-strip-wall --out-dir=bench-artifacts/store-sh1
 ./bench/sweep_query bench-artifacts/store-sh0/BENCH_sweep_smoke.store \
   bench-artifacts/store-sh1/BENCH_sweep_smoke.store --select=slots --format=csv \
-  | grep -q '^all,3,slots,6,' \
+  | grep '^all,3,slots,6,' >/dev/null \
   || { echo "FAIL: sharded store union did not merge 3 cells / 6 seeds"; exit 1; }
 if ./bench/sweep_query bench-artifacts/store-smoke/BENCH_sweep_smoke.store \
      bench-artifacts/store-smoke/BENCH_sweep_smoke.store --select=slots \
@@ -211,14 +211,14 @@ cmp bench-artifacts/probe-smoke/BENCH_sweep_smoke.store \
 # The probe views: --series must surface the slot series and attribution
 # sketches, --pivot the axis-by-axis table.
 ./bench/sweep_query bench-artifacts/probe-smoke/BENCH_sweep_smoke.store --series \
-  | grep -q 'slot series' \
+  | grep 'slot series' >/dev/null \
   || { echo "FAIL: sweep_query --series printed no slot series"; exit 1; }
 ./bench/sweep_query bench-artifacts/probe-smoke/BENCH_sweep_smoke.store --series \
-  --format=json | grep -q '"series"' \
+  --format=json | grep '"series"' >/dev/null \
   || { echo "FAIL: sweep_query --series json missing series"; exit 1; }
 ./bench/sweep_query bench-artifacts/probe-smoke/BENCH_sweep_smoke.store \
   --pivot=channels,label --select=decode_rate \
-  | grep -q 'decode_rate: mean by channels' \
+  | grep 'decode_rate: mean by channels' >/dev/null \
   || { echo "FAIL: sweep_query --pivot printed no pivot table"; exit 1; }
 
 # Multi-process trace merge: 4 cells so all 4 workers lease work, then the

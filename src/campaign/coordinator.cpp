@@ -387,7 +387,11 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
           protocolErr = "worker frame: " + decodeErr;
           break;
         }
-        const int cellIndex = static_cast<int>(frame.body.numberAt("cell", -1.0));
+        int cellIndex = -1;
+        if (!frame.body.intAt("cell", cellIndex, decodeErr, -1)) {
+          protocolErr = "worker frame: " + decodeErr;
+          break;
+        }
         if (frame.type == FrameType::Heartbeat) {
           if (cellIndex == w.leasedCell) {
             telemetry::timerRecord(
@@ -407,7 +411,12 @@ bool runCampaignWorkQueue(const SweepSpec& spec, const WorkQueueOptions& opts,
           protocolErr = "worker returned unleased cell " + std::to_string(cellIndex);
           break;
         }
-        if (!completeCell(leafIt->second, outcomeFromFrame(frame), protocolErr)) break;
+        CellOutcome outcome;
+        if (!outcomeFromFrame(frame, outcome, decodeErr)) {
+          protocolErr = "worker RESULT frame: " + decodeErr;
+          break;
+        }
+        if (!completeCell(leafIt->second, std::move(outcome), protocolErr)) break;
         w.leasedCell = -1;
         if (!queue.empty()) {
           const int next = queue.front();

@@ -75,36 +75,48 @@ Json quantileStateToJson(const StreamingQuantiles& q) {
   return out;
 }
 
-StreamingQuantiles quantileStateFromJson(const Json* j) {
-  if (j == nullptr || !j->isObject()) return StreamingQuantiles{};
+bool quantileStateFromJson(const Json* j, StreamingQuantiles& out, std::string& err) {
+  if (j == nullptr || !j->isObject()) {
+    out = StreamingQuantiles{};
+    return true;
+  }
   if (j->stringAt("k") == "exact") {
     std::vector<double> values;
     if (const Json* v = j->find("v"); v != nullptr && v->isArray()) {
       values.reserve(v->size());
       for (const Json& x : v->items()) values.push_back(x.asDouble());
     }
-    return StreamingQuantiles::fromExact(QuantileSketch::kDefaultAlpha,
-                                         StreamingQuantiles::kDefaultExactThreshold,
-                                         std::move(values));
+    out = StreamingQuantiles::fromExact(QuantileSketch::kDefaultAlpha,
+                                        StreamingQuantiles::kDefaultExactThreshold,
+                                        std::move(values));
+    return true;
   }
-  const auto sideFromJson = [](const Json* arr) {
-    std::vector<QuantileSketch::Bucket> side;
-    if (arr == nullptr || !arr->isArray()) return side;
+  const auto sideFromJson = [&err](const Json* arr, std::vector<QuantileSketch::Bucket>& side) {
+    if (arr == nullptr || !arr->isArray()) return true;
     side.reserve(arr->size());
     for (const Json& pair : arr->items()) {
       if (!pair.isArray() || pair.size() != 2) continue;
-      side.push_back(QuantileSketch::Bucket{
-          static_cast<std::int32_t>(pair.items()[0].asDouble()),
-          static_cast<std::uint64_t>(pair.items()[1].asDouble())});
+      QuantileSketch::Bucket b{};
+      if (!checkedInteger(pair.items()[0].asDouble(), b.index) ||
+          !checkedInteger(pair.items()[1].asDouble(), b.count)) {
+        err = "sketch bucket is not an integer pair in range";
+        return false;
+      }
+      side.push_back(b);
     }
-    return side;
+    return true;
   };
-  QuantileSketch sketch = QuantileSketch::fromState(
-      j->numberAt("a", QuantileSketch::kDefaultAlpha),
-      static_cast<std::uint64_t>(j->numberAt("z")), sideFromJson(j->find("neg")),
-      sideFromJson(j->find("pos")));
-  return StreamingQuantiles::fromSketch(StreamingQuantiles::kDefaultExactThreshold,
-                                        std::move(sketch));
+  std::uint64_t zeros = 0;
+  std::vector<QuantileSketch::Bucket> neg, pos;
+  if (!j->intAt("z", zeros, err) || !sideFromJson(j->find("neg"), neg) ||
+      !sideFromJson(j->find("pos"), pos)) {
+    return false;
+  }
+  QuantileSketch sketch = QuantileSketch::fromState(j->numberAt("a", QuantileSketch::kDefaultAlpha),
+                                                    zeros, std::move(neg), std::move(pos));
+  out = StreamingQuantiles::fromSketch(StreamingQuantiles::kDefaultExactThreshold,
+                                       std::move(sketch));
+  return true;
 }
 
 }  // namespace
@@ -125,20 +137,23 @@ Json momentsToJson(const MetricStats& stats) {
   return j;
 }
 
-MetricStats momentsFromJson(const Json& j) {
-  MetricStats out;
-  if (!j.isObject()) return out;
+bool momentsFromJson(const Json& j, MetricStats& out, std::string& err) {
+  out.clear();
+  if (!j.isObject()) return true;
   out.reserve(j.size());
   for (const auto& [name, m] : j.members()) {
     StreamingStats s;
-    s.moments = OnlineStats::fromMoments(static_cast<std::size_t>(m.numberAt("n")),
-                                         m.numberAt("mean"), m.numberAt("m2"),
+    std::size_t count = 0;
+    if (!m.intAt("n", count, err) || !quantileStateFromJson(m.find("q"), s.quantiles, err)) {
+      err = "metric \"" + name + "\": " + err;
+      return false;
+    }
+    s.moments = OnlineStats::fromMoments(count, m.numberAt("mean"), m.numberAt("m2"),
                                          m.numberAt("min"), m.numberAt("max"),
                                          m.numberAt("sum"));
-    s.quantiles = quantileStateFromJson(m.find("q"));
     out.emplace_back(name, std::move(s));
   }
-  return out;
+  return true;
 }
 
 Frame resultFrame(int cell, const CellOutcome& outcome) {
@@ -161,20 +176,22 @@ Frame resultFrame(int cell, const CellOutcome& outcome) {
   return f;
 }
 
-CellOutcome outcomeFromFrame(const Frame& frame) {
+bool outcomeFromFrame(const Frame& frame, CellOutcome& out, std::string& err) {
   const Json& b = frame.body;
-  CellOutcome out;
-  out.failures = static_cast<int>(b.numberAt("failures"));
-  out.delivered = static_cast<int>(b.numberAt("delivered"));
-  out.valid = static_cast<int>(b.numberAt("valid"));
-  out.invalid = static_cast<int>(b.numberAt("invalid"));
+  out = CellOutcome();
+  if (!b.intAt("failures", out.failures, err) || !b.intAt("delivered", out.delivered, err) ||
+      !b.intAt("valid", out.valid, err) || !b.intAt("invalid", out.invalid, err)) {
+    return false;
+  }
   out.wallSec = b.numberAt("wall_sec");
-  if (const Json* moments = b.find("moments")) out.stats = momentsFromJson(*moments);
+  if (const Json* moments = b.find("moments")) {
+    if (!momentsFromJson(*moments, out.stats, err)) return false;
+  }
   if (const Json* tm = b.find("telemetry"); tm != nullptr && tm->isObject()) {
     for (const auto& [name, value] : tm->members()) out.telemetry.set(name, value.asDouble());
   }
   if (const Json* probes = b.find("probes")) out.probes = telemetry::probesFromJson(*probes);
-  return out;
+  return true;
 }
 
 }  // namespace mcs::campaign

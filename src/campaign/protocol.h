@@ -60,7 +60,9 @@ struct Frame {
 /// writer binds its column schema to this order, so both lanes must hand
 /// the coordinator the same sequence.
 [[nodiscard]] Json momentsToJson(const MetricStats& stats);
-[[nodiscard]] MetricStats momentsFromJson(const Json& j);
+/// The inverse; false with `err` when a count or sketch bucket is not an
+/// integer in range.
+[[nodiscard]] bool momentsFromJson(const Json& j, MetricStats& out, std::string& err);
 
 /// One executed cell as the coordinator consumes it: batch counters,
 /// the cell's wall time, its per-metric accumulators (cellStats order),
@@ -82,8 +84,9 @@ struct CellOutcome {
 /// The RESULT frame for `cell`, and its inverse.  Both sides of the wire
 /// encoding live here so the worker and the coordinator cannot disagree
 /// on field names; a field missing from the frame decodes to its empty
-/// default.
+/// default, and a count that is not an integer in range fails the decode
+/// with `err`.
 [[nodiscard]] Frame resultFrame(int cell, const CellOutcome& outcome);
-[[nodiscard]] CellOutcome outcomeFromFrame(const Frame& frame);
+[[nodiscard]] bool outcomeFromFrame(const Frame& frame, CellOutcome& out, std::string& err);
 
 }  // namespace mcs::campaign

@@ -89,8 +89,11 @@ int campaignWorkerMain(int fd, const std::vector<SweepCell>& cells, const Worker
     if (frame.type != FrameType::Lease) continue;  // ignore unexpected kinds
 
     // Expansion assigns index = position in the cell vector.
-    const int index = static_cast<int>(frame.body.numberAt("cell", -1.0));
-    if (index < 0 || index >= static_cast<int>(cells.size())) return 3;
+    int index = -1;
+    if (!frame.body.intAt("cell", index, err, -1) || index < 0 ||
+        index >= static_cast<int>(cells.size())) {
+      return 3;
+    }
 
     // Lease acknowledgement — the coordinator's liveness signal and the
     // campaign.lease_rtt sample.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -38,8 +39,8 @@ class GridIndex {
 
   /// Persistent-index maintenance in one call: rebuild() when the point
   /// count or cell size changed, update() otherwise.  The idiom of every
-  /// per-slot mobility consumer (Medium's dynamic NearFar grid, the
-  /// drift-metric sampler).
+  /// mobility consumer: Medium's dynamic NearFar grid each slot, the
+  /// drift-metric sampler at each skin-band rebuild.
   void ensure(std::span<const Vec2> points, double cellSize);
 
   /// Appends the ids of all points within distance `radius` of `center`
@@ -64,6 +65,42 @@ class GridIndex {
              i < start_[static_cast<std::size_t>(cell) + 1]; ++i) {
           const NodeId id = ids_[i];
           if (dist2(points_[static_cast<std::size_t>(id)], center) <= r2) fn(id);
+        }
+      }
+    }
+  }
+
+  /// Calls `fn(a, b, d2)` once for every unordered pair of distinct points
+  /// a, b with d2 = dist2(a, b) <= radius², visiting each pair of nearby
+  /// cells once: half the distance tests of one forEachInBall per point.
+  /// Pair order, and the order of a and b, are unspecified.
+  template <class Fn>
+  void forEachPairWithin(double radius, Fn&& fn) const {
+    if (cells_ == 0) return;
+    const double r2 = radius * radius;
+    // Points k cells apart are at least k - 1 cell sides apart.
+    const long reach =
+        static_cast<long>(std::min(radius / cellSize_, static_cast<double>(nx_ + ny_))) + 1;
+    const auto pairsBetween = [&](std::size_t a, std::size_t b) {
+      for (std::size_t i = start_[a]; i < start_[a + 1]; ++i) {
+        const Vec2 p = points_[static_cast<std::size_t>(ids_[i])];
+        for (std::size_t j = a == b ? i + 1 : start_[b]; j < start_[b + 1]; ++j) {
+          const double d2 = dist2(points_[static_cast<std::size_t>(ids_[j])], p);
+          if (d2 <= r2) fn(ids_[i], ids_[j], d2);
+        }
+      }
+    };
+    for (long cy = 0; cy < ny_; ++cy) {
+      for (long cx = 0; cx < nx_; ++cx) {
+        const auto a = static_cast<std::size_t>(cy * nx_ + cx);
+        if (start_[a] == start_[a + 1]) continue;
+        // The cell itself, then the half of its neighbourhood that comes
+        // later in row-major order.
+        for (long dy = 0; dy <= reach && cy + dy < ny_; ++dy) {
+          for (long dx = dy == 0 ? 0 : -reach; dx <= reach; ++dx) {
+            if (cx + dx < 0 || cx + dx >= nx_) continue;
+            pairsBetween(a, static_cast<std::size_t>((cy + dy) * nx_ + cx + dx));
+          }
         }
       }
     }

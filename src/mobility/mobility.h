@@ -44,7 +44,8 @@ enum class MobilityKind : std::uint8_t {
   /// around it with steps of `speed / 2`, softly tethered to
   /// `groupRadius` (members beyond the tether are pulled toward it at
   /// the member step rate, so per-slot displacement stays bounded by
-  /// ~2 * speed).  References start at their group's member centroid, so
+  /// ~2 * speed and no member teleports; the drift sampler is exact
+  /// either way).  References start at their group's member centroid, so
   /// the model fits deployments whose index order matches the grouping
   /// (v % groups — e.g. `clustered`); on spatially unsorted deployments
   /// the groups slowly contract toward near-coincident references.
@@ -91,8 +92,12 @@ struct TopologyParams {
   MobilityParams mobility;
   ChurnParams churn;
   /// Drift-metric sampling period: every `sampleEvery` slots the dynamics
-  /// re-derive the communication graph (incremental GridIndex update) and
-  /// accumulate edge churn.  Purely observational — never affects the run.
+  /// diff the communication graph against the previous sample and
+  /// accumulate edge churn.  The diff is exact for any motion and costs
+  /// O(n + pairs near distance R_eps) per sample (a skin band, see
+  /// mobility.cpp), so the period trades resolution for time, never the
+  /// exactness of the counts.  Purely observational — never affects the
+  /// run.
   int sampleEvery = 32;
 
   /// True when a Simulator needs a TopologyDynamics at all.
@@ -175,7 +180,12 @@ class TopologyDynamics {
  private:
   void advanceChurn(std::uint64_t slot);
   void advanceMotion(std::uint64_t slot, std::vector<Vec2>& positions);
+  /// One drift sample: diffs the graph against the previous sample and
+  /// adds the churn to stats_.  Exact for any motion; O(n + band pairs)
+  /// while the skin band holds (see mobility.cpp).
   void sampleGraph(std::span<const Vec2> positions, bool final);
+  void scanBand(std::span<const Vec2> positions);
+  void rebuildBand(std::span<const Vec2> positions);
 
   /// Uniform in [0, 1), pure in (key, a, b): the fading-layer recipe.
   [[nodiscard]] static double unitDraw(std::uint64_t key, std::uint64_t a,
@@ -204,11 +214,24 @@ class TopologyDynamics {
   // GroupReference state.
   std::vector<Vec2> groupRef_;
 
-  // Drift-metric sampling state (incremental GridIndex over all nodes).
+  // Drift-metric sampling state.  The previous sample is kept as its
+  // positions and alive mask (edge(u, v) = dist2 <= R² ∧ both alive), the
+  // skin band as its pairs and their edge bits; grid_ indexes all nodes
+  // at the band's build positions.
+  struct BandPair {
+    std::uint32_t u, v;
+  };
   GridIndex grid_;
-  std::vector<std::uint64_t> initialEdges_;
-  std::vector<std::uint64_t> prevEdges_;
-  std::vector<std::uint64_t> scratchEdges_;
+  GridIndex prevGrid_;  // previous-sample positions, for rebuilds after long steps
+  std::vector<std::uint64_t> initialEdges_;  // (v << 32 | u), v < u
+  std::vector<Vec2> samplePos_;
+  std::vector<char> sampleAlive_;
+  std::size_t sampleEdges_ = 0;
+  double skin_ = 0.0;  // band half-width h; 0 until the first band is built
+  std::vector<BandPair> band_;
+  std::vector<char> bandEdge_;
+  std::uint64_t bandScans_ = 0;     // samples answered by the current band
+  std::uint64_t rebuildPairs_ = 0;  // pairs the last rebuild enumerated
 
   TopologyStats stats_;
 };

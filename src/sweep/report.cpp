@@ -76,14 +76,13 @@ bool seedFromJson(const Json& j, SeedResult& r, std::string& err) {
     err = "per-seed entry is not an object";
     return false;
   }
-  r.seed = static_cast<std::uint64_t>(j.numberAt("seed"));
-  r.deployedN = static_cast<int>(j.numberAt("deployed_n"));
-  r.slots = static_cast<std::uint64_t>(j.numberAt("slots"));
-  r.transmissions = static_cast<std::uint64_t>(j.numberAt("transmissions"));
-  r.listens = static_cast<std::uint64_t>(j.numberAt("listens"));
-  r.decodes = static_cast<std::uint64_t>(j.numberAt("decodes"));
+  if (!j.intAt("seed", r.seed, err) || !j.intAt("deployed_n", r.deployedN, err) ||
+      !j.intAt("slots", r.slots, err) || !j.intAt("transmissions", r.transmissions, err) ||
+      !j.intAt("listens", r.listens, err) || !j.intAt("decodes", r.decodes, err) ||
+      !j.intAt("structure_slots", r.structureSlots, err)) {
+    return false;
+  }
   r.decodeRate = j.numberAt("decode_rate");
-  r.structureSlots = static_cast<std::uint64_t>(j.numberAt("structure_slots"));
   const Json* delivered = j.find("delivered");
   r.delivered = delivered != nullptr && delivered->asBool();
   const std::string validity = j.stringAt("valid", "unchecked");
@@ -170,7 +169,12 @@ bool loadCellResult(const std::string& path, CellResult& out, std::string& err) 
     return false;
   }
   out = CellResult();
-  out.cell.index = static_cast<int>(j.numberAt("index", -1));
+  if (!j.intAt("index", out.cell.index, err, -1) ||
+      !j.intAt("seeds", out.batch.spec.seeds, err) ||
+      !j.intAt("seed0", out.batch.spec.seed0, err)) {
+    err = path + ": " + err;
+    return false;
+  }
   out.cell.label = j.stringAt("label");
   if (const Json* assigns = j.find("assignments"); assigns != nullptr && assigns->isObject()) {
     for (const auto& [key, value] : assigns->members()) {
@@ -178,8 +182,6 @@ bool loadCellResult(const std::string& path, CellResult& out, std::string& err) 
     }
   }
   out.specFingerprint = j.stringAt("spec");
-  out.batch.spec.seeds = static_cast<int>(j.numberAt("seeds"));
-  out.batch.spec.seed0 = static_cast<std::uint64_t>(j.numberAt("seed0"));
   const Json* perSeed = j.find("per_seed");
   if (perSeed == nullptr || !perSeed->isArray()) {
     err = path + ": missing per_seed array";

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +14,18 @@
 /// stable.  Numbers are doubles with shortest round-trip formatting,
 /// matching the BENCH_*.json convention from bench_common.h.
 namespace mcs {
+
+/// `x` as an `Int`; false when it is NaN, not integral or outside Int's
+/// range, the values a plain static_cast turns into undefined behaviour.
+template <class Int>
+[[nodiscard]] bool checkedInteger(double x, Int& out) noexcept {
+  // 2^digits is exact in a double and the first value past Int's maximum.
+  const double past = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  const double lowest = std::numeric_limits<Int>::is_signed ? -past : 0.0;
+  if (!(x >= lowest && x < past) || x != std::trunc(x)) return false;
+  out = static_cast<Int>(x);
+  return true;
+}
 
 class Json {
  public:
@@ -78,6 +92,21 @@ class Json {
   [[nodiscard]] double numberAt(const std::string& key, double fallback = 0.0) const noexcept {
     const Json* v = find(key);
     return v ? v->asDouble(fallback) : fallback;
+  }
+  /// Integer member `key` through checkedInteger(): false, with `err`
+  /// naming the member, when it is a number that does not convert.  A
+  /// missing or non-numeric member reads as `fallback`, like numberAt().
+  template <class Int>
+  [[nodiscard]] bool intAt(const std::string& key, Int& out, std::string& err,
+                           Int fallback = 0) const {
+    const Json* v = find(key);
+    if (v == nullptr || !v->isNumber()) {
+      out = fallback;
+      return true;
+    }
+    if (checkedInteger(v->number_, out)) return true;
+    err = "\"" + key + "\" is not an integer in range";
+    return false;
   }
   [[nodiscard]] std::string stringAt(const std::string& key,
                                      const std::string& fallback = "") const {

@@ -108,7 +108,9 @@ TEST(CampaignProtocol, MomentsCarryTheFullAccumulatorState) {
   MetricStats stats;
   stats.emplace_back("alpha", a);
   stats.emplace_back("beta", b);
-  const MetricStats back = momentsFromJson(momentsToJson(stats));
+  MetricStats back;
+  std::string err;
+  ASSERT_TRUE(momentsFromJson(momentsToJson(stats), back, err)) << err;
   ASSERT_EQ(back.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(back[i].first, stats[i].first);

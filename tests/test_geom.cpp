@@ -50,6 +50,31 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GridIndexParam,
                          ::testing::Combine(::testing::Values(1, 17, 200, 1000),
                                             ::testing::Values(0.05, 0.3, 1.0)));
 
+TEST(GridIndex, PairEnumerationMatchesBruteForce) {
+  // Every unordered pair within the radius exactly once, with its dist2,
+  // for radii below, at and far above the cell size (the last covers the
+  // whole box from every cell).
+  Rng rng(99);
+  const auto pts = deployUniformSquare(300, 2.0, rng);
+  const GridIndex grid(pts, 0.3);
+  for (const double radius : {0.1, 0.3, 0.75, 10.0}) {
+    std::vector<std::pair<NodeId, NodeId>> got, want;
+    grid.forEachPairWithin(radius, [&](NodeId a, NodeId b, double d2) {
+      EXPECT_EQ(d2, dist2(pts[static_cast<std::size_t>(a)], pts[static_cast<std::size_t>(b)]));
+      got.emplace_back(std::min(a, b), std::max(a, b));
+    });
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      for (std::size_t j = i + 1; j < pts.size(); ++j) {
+        if (dist2(pts[i], pts[j]) <= radius * radius) {
+          want.emplace_back(static_cast<NodeId>(i), static_cast<NodeId>(j));
+        }
+      }
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "radius " << radius;
+  }
+}
+
 TEST(GridIndex, EmptyInput) {
   const GridIndex grid(std::vector<Vec2>{}, 1.0);
   EXPECT_EQ(grid.size(), 0u);

@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "geom/grid_index.h"
 #include "mobility/mobility.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "test_support.h"
+#include "util/rng.h"
 
 /// The mobility & churn subsystem: spec plumbing, per-seed determinism,
 /// thread-count invariance, model kinematics, churn edge cases, and the
@@ -360,6 +363,178 @@ TEST(DriftMetrics, ReportedAndSane) {
   const SeedResult s = runScenarioSeed(still, 9);
   EXPECT_EQ(s.metrics.find("edge_survival"), nullptr);
   EXPECT_EQ(s.metrics.find("redelivered"), nullptr);
+}
+
+// -------------------------------------------------- drift sampler oracle
+
+/// The drift sampler before the skin band, kept as the brute-force
+/// reference: every sample enumerates all edges, sorts them and merges
+/// them against the previous sample.
+class ReferenceSampler {
+ public:
+  explicit ReferenceSampler(double radius) : radius_(radius) {}
+
+  void sample(std::span<const Vec2> positions, const std::vector<char>& alive, bool final) {
+    grid_.ensure(positions, radius_);
+    edges_.clear();
+    const auto n = static_cast<NodeId>(positions.size());
+    for (NodeId v = 0; v < n; ++v) {
+      if (alive[static_cast<std::size_t>(v)] == 0) continue;
+      grid_.forEachInBall(positions[static_cast<std::size_t>(v)], radius_, [&](NodeId u) {
+        if (u > v && alive[static_cast<std::size_t>(u)] != 0) {
+          edges_.push_back((static_cast<std::uint64_t>(v) << 32) | static_cast<std::uint32_t>(u));
+        }
+      });
+    }
+    std::sort(edges_.begin(), edges_.end());
+    ++stats.graphSamples;
+    if (stats.graphSamples == 1) {
+      initial_ = edges_;
+      stats.initialEdges = initial_.size();
+    } else {
+      std::vector<std::uint64_t> diff;
+      std::set_difference(edges_.begin(), edges_.end(), prev_.begin(), prev_.end(),
+                          std::back_inserter(diff));
+      stats.edgesAdded += diff.size();
+      diff.clear();
+      std::set_difference(prev_.begin(), prev_.end(), edges_.begin(), edges_.end(),
+                          std::back_inserter(diff));
+      stats.edgesRemoved += diff.size();
+    }
+    prev_ = edges_;
+    if (final) {
+      stats.finalEdges = edges_.size();
+      std::vector<std::uint64_t> kept;
+      std::set_intersection(initial_.begin(), initial_.end(), edges_.begin(), edges_.end(),
+                            std::back_inserter(kept));
+      stats.survivingInitialEdges = kept.size();
+    }
+  }
+
+  TopologyStats stats;
+
+ private:
+  double radius_;
+  GridIndex grid_;
+  std::vector<std::uint64_t> edges_, prev_, initial_;
+};
+
+void expectSameStats(const TopologyStats& got, const TopologyStats& want, const std::string& what) {
+  EXPECT_EQ(got.departures, want.departures) << what;
+  EXPECT_EQ(got.arrivals, want.arrivals) << what;
+  EXPECT_EQ(got.graphSamples, want.graphSamples) << what;
+  EXPECT_EQ(got.edgesAdded, want.edgesAdded) << what;
+  EXPECT_EQ(got.edgesRemoved, want.edgesRemoved) << what;
+  EXPECT_EQ(got.initialEdges, want.initialEdges) << what;
+  EXPECT_EQ(got.finalEdges, want.finalEdges) << what;
+  EXPECT_EQ(got.survivingInitialEdges, want.survivingInitialEdges) << what;
+  EXPECT_EQ(got.meanDisplacement, want.meanDisplacement) << what;
+}
+
+struct OracleRun {
+  MobilityKind kind = MobilityKind::RandomWalk;
+  double speed = 2e-3;
+  bool churn = false;
+  int sampleEvery = 32;
+  int slots = 320;
+  /// Every `jumpEvery` slots (0: never) a third of the nodes are moved
+  /// from outside, between two advance() calls, by up to ±3 box sides.
+  int jumpEvery = 0;
+};
+
+/// Runs TopologyDynamics and the reference side by side on the same
+/// positions and alive masks and expects identical statistics after each
+/// of two finalize() calls.
+void expectMatchesReference(const OracleRun& run, const std::string& what) {
+  constexpr std::size_t kNodes = 200;
+  constexpr double kRadius = 0.25;
+  Rng rng(0x5eed0000u + static_cast<std::uint64_t>(run.sampleEvery));
+  std::vector<Vec2> pos(kNodes);
+  for (Vec2& p : pos) p = {rng.uniform(), rng.uniform()};
+  const std::vector<Vec2> initial = pos;
+
+  TopologyParams params;
+  params.mobility.kind = run.kind;
+  params.mobility.speed = run.speed;
+  params.mobility.pause = 3;
+  params.mobility.groups = 5;
+  if (run.churn) {
+    params.churn.departureRate = 4e-3;
+    params.churn.arrivalRate = 2e-2;
+  }
+  params.sampleEvery = run.sampleEvery;
+  TopologyDynamics dyn(params, initial, kRadius, 0x1234u, 0x5678u);
+  ReferenceSampler ref(kRadius);
+  ref.sample(initial, std::vector<char>(kNodes, 1), false);
+
+  std::vector<char> alive(kNodes, 1);
+  for (int slot = 0; slot < run.slots; ++slot) {
+    if (run.jumpEvery > 0 && slot % run.jumpEvery == run.jumpEvery - 1) {
+      for (std::size_t v = 0; v < kNodes; v += 3) {
+        pos[v].x += rng.uniform(-3.0, 3.0);
+        pos[v].y += rng.uniform(-3.0, 3.0);
+      }
+    }
+    dyn.advance(static_cast<std::uint64_t>(slot), pos);
+    for (std::size_t v = 0; v < kNodes; ++v) {
+      ref.stats.departures += static_cast<std::uint64_t>(alive[v] != 0 && dyn.aliveMask()[v] == 0);
+      ref.stats.arrivals += static_cast<std::uint64_t>(alive[v] == 0 && dyn.aliveMask()[v] != 0);
+    }
+    alive = dyn.aliveMask();
+    if ((slot + 1) % run.sampleEvery == 0) ref.sample(pos, alive, false);
+  }
+  double total = 0.0;
+  for (std::size_t v = 0; v < kNodes; ++v) total += dist(initial[v], pos[v]);
+  ref.stats.meanDisplacement = total / static_cast<double>(kNodes);
+  for (int round = 0; round < 2; ++round) {  // finalize() twice: idempotent
+    dyn.finalize(pos);
+    ref.sample(pos, alive, true);
+    expectSameStats(dyn.stats(), ref.stats, what + " finalize #" + std::to_string(round + 1));
+  }
+  if (run.churn) {
+    EXPECT_GT(dyn.stats().departures, 0u) << what;
+  }
+  EXPECT_GT(dyn.stats().edgesAdded + dyn.stats().edgesRemoved, 0u) << what;
+}
+
+TEST(DriftSampler, MatchesTheBruteForceReference) {
+  for (const MobilityKind kind :
+       {MobilityKind::RandomWalk, MobilityKind::RandomWaypoint, MobilityKind::GroupReference}) {
+    for (const bool churn : {false, true}) {
+      for (const int every : {1, 7, 32}) {
+        OracleRun run;
+        run.kind = kind;
+        run.churn = churn;
+        run.sampleEvery = every;
+        expectMatchesReference(run, toString(kind) + (churn ? " churn" : "") + " every " +
+                                        std::to_string(every));
+      }
+    }
+  }
+}
+
+TEST(DriftSampler, MatchesTheReferenceWhenASampleStepExceedsTheRadius) {
+  for (const MobilityKind kind : {MobilityKind::RandomWalk, MobilityKind::RandomWaypoint}) {
+    for (const bool churn : {false, true}) {
+      OracleRun run;
+      run.kind = kind;
+      run.churn = churn;
+      run.speed = 0.2;  // 7 slots move a node up to 1.4 = 5.6 R per sample
+      run.sampleEvery = 7;
+      run.slots = 140;
+      expectMatchesReference(run, toString(kind) + (churn ? " churn" : "") + " fast");
+    }
+  }
+}
+
+TEST(DriftSampler, MatchesTheReferenceAcrossExternalPositionJumps) {
+  for (const int every : {1, 7, 32}) {
+    OracleRun run;
+    run.churn = true;
+    run.sampleEvery = every;
+    run.jumpEvery = 45;
+    expectMatchesReference(run, "random_walk jumps every " + std::to_string(every));
+  }
 }
 
 // ---------------------------------------------------------------- presets

@@ -26,6 +26,7 @@
 #include "telemetry/telemetry.h"
 #include "test_support.h"
 #include "util/framing.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace mcs::campaign {
@@ -234,8 +235,12 @@ int resultsDecoded(const std::string& wire) {
       continue;
     }
     if (frame.type != FrameType::Result) continue;
+    CellOutcome outcome;
+    if (!outcomeFromFrame(frame, outcome, err)) {
+      EXPECT_FALSE(err.empty()) << "a RESULT frame failed to decode without an error";
+      continue;
+    }
     ++decoded;
-    CellOutcome outcome = outcomeFromFrame(frame);
     TreeReducer reducer(1);
     reducer.addLeaf(0, std::move(outcome.stats), std::move(outcome.probes));
     for (const auto& [name, s] : reducer.root()) (void)s.summary();
@@ -280,6 +285,46 @@ TEST(Mutation, ResultFramesDecodeOrFailWithAnError) {
   for (const std::string& payload : structuralMutants(real.resultWire.substr(4))) {
     (void)resultsDecoded(test::frameWireBytes(payload));
   }
+}
+
+TEST(Mutation, CountsThatNoIntegerHoldsFailWithAnError) {
+  // Counts travel as JSON doubles.  Each value below, cast straight to
+  // the integer field, would be undefined behaviour; the decoders must
+  // refuse it and name the member instead.
+  const RealCell& real = realCell();
+  const std::string path = testing::TempDir() + "mutation_counts.json";
+  std::string err;
+  for (const double bad : {1e300, -1e19, 2.5, 18446744073709551616.0}) {
+    for (const char* key : {"slots", "deployed_n", "seed"}) {
+      Json cell;
+      ASSERT_TRUE(Json::parse(real.cellFile, cell, err)) << err;
+      cell.find("per_seed")->items().at(0).set(key, bad);
+      std::filesystem::remove(path);
+      std::ofstream(path, std::ios::binary) << cell.dump();
+      CellResult loaded;
+      err.clear();
+      EXPECT_FALSE(loadCellResult(path, loaded, err)) << key << " = " << bad;
+      EXPECT_NE(err.find(std::string("\"") + key + "\""), std::string::npos) << err;
+    }
+
+    Json body;
+    ASSERT_TRUE(Json::parse(real.resultWire.substr(4), body, err)) << err;
+    body.set("failures", bad);
+    Frame frame;
+    ASSERT_TRUE(decodeFrame(body.dump(), frame, err)) << err;
+    CellOutcome outcome;
+    err.clear();
+    EXPECT_FALSE(outcomeFromFrame(frame, outcome, err)) << bad;
+    EXPECT_NE(err.find("\"failures\""), std::string::npos) << err;
+
+    ASSERT_TRUE(Json::parse(real.resultWire.substr(4), body, err)) << err;
+    body.find("moments")->members().at(0).second.set("n", bad);
+    ASSERT_TRUE(decodeFrame(body.dump(), frame, err)) << err;
+    err.clear();
+    EXPECT_FALSE(outcomeFromFrame(frame, outcome, err)) << bad;
+    EXPECT_NE(err.find("\"n\""), std::string::npos) << err;
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "campaign/coordinator.h"
@@ -732,6 +734,41 @@ TEST(SweepJson, ParserBasics) {
   EXPECT_FALSE(Json::parse("[1, 2", v, err));
   EXPECT_FALSE(Json::parse("nope", v, err));
   EXPECT_FALSE(Json::parse("{} junk", v, err));
+}
+
+TEST(SweepJson, CheckedIntegerRejectsWhatACastCannotHold) {
+  std::uint64_t u = 7;
+  std::int32_t i = 7;
+  std::int64_t l = 7;
+  EXPECT_TRUE(checkedInteger(0.0, u) && u == 0u);
+  EXPECT_TRUE(checkedInteger(-0.0, i) && i == 0);
+  EXPECT_TRUE(checkedInteger(9007199254740992.0, u) && u == 9007199254740992u);  // 2^53
+  EXPECT_TRUE(checkedInteger(-2147483648.0, i) && i == std::numeric_limits<std::int32_t>::min());
+  EXPECT_TRUE(checkedInteger(2147483647.0, i) && i == std::numeric_limits<std::int32_t>::max());
+  EXPECT_TRUE(checkedInteger(-9223372036854775808.0, l) &&
+              l == std::numeric_limits<std::int64_t>::min());
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 2.5, -0.5, 1e300}) {
+    EXPECT_FALSE(checkedInteger(bad, u)) << bad;
+    EXPECT_FALSE(checkedInteger(bad, i)) << bad;
+  }
+  EXPECT_FALSE(checkedInteger(-1.0, u));
+  EXPECT_FALSE(checkedInteger(18446744073709551616.0, u));  // 2^64
+  EXPECT_FALSE(checkedInteger(2147483648.0, i));            // 2^31
+  EXPECT_FALSE(checkedInteger(-2147483649.0, i));
+  EXPECT_FALSE(checkedInteger(9223372036854775808.0, l));  // 2^63
+  EXPECT_EQ(u, 9007199254740992u);  // a rejected value leaves the output alone
+
+  Json j;
+  std::string err;
+  ASSERT_TRUE(Json::parse(R"({"n": 3, "big": 1e300, "s": "x"})", j, err)) << err;
+  int n = 0;
+  EXPECT_TRUE(j.intAt("n", n, err) && n == 3);
+  EXPECT_TRUE(j.intAt("missing", n, err, -1) && n == -1);  // absent: the fallback
+  EXPECT_TRUE(j.intAt("s", n, err) && n == 0);              // not a number: likewise
+  err.clear();
+  EXPECT_FALSE(j.intAt("big", n, err));
+  EXPECT_NE(err.find("\"big\""), std::string::npos) << err;
 }
 
 }  // namespace

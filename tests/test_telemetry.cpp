@@ -224,6 +224,42 @@ TEST(TelemetryDeterminism, EnabledRunBitIdenticalToDisabled) {
   }
 }
 
+/// The dynamics step's timers and counters observe the drift sampler
+/// without steering it: an armed mobile run with churn reports the same
+/// metrics, drift statistics included, as a disarmed one.
+TEST(TelemetryDeterminism, ArmedDynamicsRunMatchesDisarmed) {
+  ScenarioSpec spec;
+  std::string err;
+  for (const auto& [key, value] :
+       {std::pair{"n", "150"}, std::pair{"channels", "2"}, std::pair{"protocol", "agg_max"},
+        std::pair{"mobility", "random_walk"}, std::pair{"mobility_speed", "2e-3"},
+        std::pair{"mobility_sample_every", "8"}, std::pair{"churn_departure_rate", "1e-3"},
+        std::pair{"churn_arrival_rate", "1e-2"}}) {
+    ASSERT_TRUE(applyScenarioKey(spec, key, value, err)) << err;
+  }
+  ASSERT_EQ(validateScenario(spec), "");
+  const SeedResult off = [&] {
+    const TelemetryGuard guard(false);
+    return runScenarioSeed(spec, 5);
+  }();
+  const TelemetryGuard guard;
+  const SeedResult on = runScenarioSeed(spec, 5);
+  ASSERT_TRUE(off.error.empty()) << off.error;
+  EXPECT_EQ(off.slots, on.slots);
+  EXPECT_EQ(off.metrics, on.metrics);
+  ASSERT_NE(on.metrics.find("edge_churn_per_slot"), nullptr);
+
+  const telemetry::MetricsSnapshot s = telemetry::snapshotMetrics();
+  EXPECT_GT(s.counterOr("dynamics.band_rebuilds"), 0u);
+  EXPECT_GT(s.counterOr("dynamics.band_pairs"), 0u);
+  const telemetry::TimerSample* advance = s.findTimer("mobility.advance");
+  const telemetry::TimerSample* sample = s.findTimer("dynamics.sample_graph");
+  ASSERT_NE(advance, nullptr);
+  ASSERT_NE(sample, nullptr);
+  EXPECT_EQ(advance->count, on.slots);
+  EXPECT_EQ(sample->count, on.slots / 8 + 2);  // set-up, every 8th slot, final
+}
+
 // ------------------------------------------------------------------ trace
 
 TEST(TelemetryTrace, RingBoundsAndChromeJsonRoundTrip) {
