@@ -12,6 +12,8 @@
 //   - static / dynamic NearFar resolveSlot at n=32k: a mobile run
 //     (positions drift every slot, incremental-grid path) must stay
 //     within 2x of the equivalent static run
+// Plus sparse rows: a fixed 8-transmitter + 32-listener slot at n = 400
+// ... 400k, whose µs/slot must stay flat (O(active) resolution).
 // Writes BENCH_medium.json so future changes can diff the perf trajectory.
 
 #include <algorithm>
@@ -102,6 +104,7 @@ struct PowReference {
 struct Workload {
   std::vector<Vec2> pts;
   std::vector<Intent> intents;
+  std::vector<NodeId> active;  // the non-idle nodes, ascending
 };
 
 Workload makeWorkload(int n, int channels, double density, std::uint64_t seed) {
@@ -114,6 +117,37 @@ Workload makeWorkload(int n, int channels, double density, std::uint64_t seed) {
     w.intents[static_cast<std::size_t>(v)] =
         rng.bernoulli(0.05) ? Intent::transmit(c, {}) : Intent::listen(c);
   }
+  w.active = activeNodes(w.intents);
+  return w;
+}
+
+/// The regime protocols produce: a fixed small active set (`tx`
+/// transmitters + `listeners` listeners, spread over the channels) among
+/// n mostly idle nodes.  The active nodes are drawn from a disk of fixed
+/// radius at the deployment's centre, so every n sees the same local
+/// geometry (and decode work); only the idle population grows.
+Workload makeSparseWorkload(int n, int channels, int tx, int listeners, double density,
+                            std::uint64_t seed) {
+  Workload w;
+  Rng rng(seed);
+  const double side = std::sqrt(static_cast<double>(n) / density);
+  w.pts = deployUniformSquare(n, side, rng);
+  const Vec2 centre{side / 2.0, side / 2.0};
+  std::vector<NodeId> pool;
+  for (int v = 0; v < n; ++v) {
+    if (dist(w.pts[static_cast<std::size_t>(v)], centre) <= 0.3) pool.push_back(v);
+  }
+  w.intents.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < tx + listeners && i < static_cast<int>(pool.size()); ++i) {
+    // Partial Fisher-Yates: pool[i] becomes a fresh random pick.
+    const auto j = static_cast<std::size_t>(i) +
+                   static_cast<std::size_t>(rng.below(pool.size() - static_cast<std::size_t>(i)));
+    std::swap(pool[static_cast<std::size_t>(i)], pool[j]);
+    const auto c = static_cast<ChannelId>(i % channels);
+    w.intents[static_cast<std::size_t>(pool[static_cast<std::size_t>(i)])] =
+        i < tx ? Intent::transmit(c, {}) : Intent::listen(c);
+  }
+  w.active = activeNodes(w.intents);
   return w;
 }
 
@@ -252,22 +286,22 @@ int main(int argc, char** argv) {
 
       Medium fast(params, channels);
       const Measured fastM =
-          measure([&] { fast.resolveSlot(w.pts, w.intents, rx); },
+          measure([&] { fast.resolveSlot(w.pts, w.intents, w.active, rx); },
                   [&] { return fast.stats().decodes; }, budget);
 
       Medium nearFar(nearFarParams, channels);
       const Measured nearFarM =
-          measure([&] { nearFar.resolveSlot(w.pts, w.intents, rx); },
+          measure([&] { nearFar.resolveSlot(w.pts, w.intents, w.active, rx); },
                   [&] { return nearFar.stats().decodes; }, budget);
 
       Medium hier(hierParams, channels);
       const Measured hierM =
-          measure([&] { hier.resolveSlot(w.pts, w.intents, rx); },
+          measure([&] { hier.resolveSlot(w.pts, w.intents, w.active, rx); },
                   [&] { return hier.stats().decodes; }, budget);
 
       Medium threaded(params, channels, hw);
       const Measured threadedM =
-          measure([&] { threaded.resolveSlot(w.pts, w.intents, rx); },
+          measure([&] { threaded.resolveSlot(w.pts, w.intents, w.active, rx); },
                   [&] { return threaded.stats().decodes; }, budget);
 
       const struct {
@@ -294,6 +328,42 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- Sparse slots: the regime protocols actually run in -----------------
+  // A TDMA round or heap level keeps ~98% of nodes idle, so a slot must
+  // cost O(active), not O(n).  Fixed 8 transmitters + 32 listeners (F=8,
+  // Exact) at growing n: µs/slot should stay flat.  The meta ratio
+  // sparse_scaling (n=400k over n=400) is what ci/verify.sh gates.
+  {
+    const int channels = 8;
+    header("Sparse slots: 8 tx + 32 listeners, F=8 (Exact)",
+           "per-slot cost O(active): flat in n");
+    row("%-8s %12s %12s", "n", "us/slot", "dec/slot");
+    double usAt400 = 0.0;
+    double usAt400k = 0.0;
+    for (const int n : {400, 4'000, 40'000, 400'000}) {
+      const Workload w = makeSparseWorkload(n, channels, 8, 32, density, seed);
+      std::vector<Reception> rx;
+      Medium sparse(params, channels);
+      const Measured m =
+          measure([&] { sparse.resolveSlot(w.pts, w.intents, w.active, rx); },
+                  [&] { return sparse.stats().decodes; }, budget);
+      const double us = 1e6 / m.slotsPerSec;
+      if (n == 400) usAt400 = us;
+      if (n == 400'000) usAt400k = us;
+      row("%-8d %12.3f %12llu", n, us, static_cast<unsigned long long>(m.decodesPerSlot));
+      report.row()
+          .col("n", n)
+          .col("channels", channels)
+          .col("variant", "sparse_8tx_32rx")
+          .col("us_per_slot", us)
+          .col("slots_per_sec", m.slotsPerSec)
+          .col("decodes_per_slot", static_cast<double>(m.decodesPerSlot));
+    }
+    const double scaling = usAt400k / usAt400;
+    row("sparse_scaling (us/slot at n=400k over n=400): %.2fx", scaling);
+    report.meta("sparse_scaling", scaling);
+  }
+
   // --- Huge tier: the ROADMAP's million-node target ------------------------
   // Exact mode is omitted (O(n * tx) is ~6e9 kernel calls per slot at this
   // size); the point of the tier is that the hierarchical pyramid resolves
@@ -314,12 +384,12 @@ int main(int argc, char** argv) {
 
     Medium nearFar(nearFarParams, channels);
     const Measured nearFarM =
-        measure([&] { nearFar.resolveSlot(w.pts, w.intents, rx); },
+        measure([&] { nearFar.resolveSlot(w.pts, w.intents, w.active, rx); },
                 [&] { return nearFar.stats().decodes; }, budget);
 
     Medium hier(hierParams, channels);
     const Measured hierM =
-        measure([&] { hier.resolveSlot(w.pts, w.intents, rx); },
+        measure([&] { hier.resolveSlot(w.pts, w.intents, w.active, rx); },
                 [&] { return hier.stats().decodes; }, budget);
 
     const double ratio = hierM.slotsPerSec / nearFarM.slotsPerSec;
@@ -389,7 +459,7 @@ int main(int argc, char** argv) {
 
     Medium staticMed(nearFarParams, channels);
     const Measured staticM =
-        measure([&] { staticMed.resolveSlot(w.pts, w.intents, rx); },
+        measure([&] { staticMed.resolveSlot(w.pts, w.intents, w.active, rx); },
                 [&] { return staticMed.stats().decodes; }, budget);
 
     Medium dynamicMed(nearFarParams, channels);
@@ -400,7 +470,7 @@ int main(int argc, char** argv) {
         measure(
             [&] {
               driftPoints(drifting, box, mobilityStep, driftRng);
-              dynamicMed.resolveSlot(drifting, w.intents, rx);
+              dynamicMed.resolveSlot(drifting, w.intents, w.active, rx);
             },
             [&] { return dynamicMed.stats().decodes; }, budget);
 

@@ -25,9 +25,10 @@ void BM_MediumResolveSlot(benchmark::State& state) {
     intents[static_cast<std::size_t>(v)] =
         rng.bernoulli(0.05) ? Intent::transmit(c, {}) : Intent::listen(c);
   }
+  const std::vector<NodeId> active = activeNodes(intents);
   std::vector<Reception> rx;
   for (auto _ : state) {
-    medium.resolveSlot(pts, intents, rx);
+    medium.resolveSlot(pts, intents, active, rx);
     benchmark::DoNotOptimize(rx.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -17,6 +17,17 @@ cd build
 mkdir -p bench-artifacts
 (cd bench-artifacts && ../bench/bench_medium --budget=0.05)
 
+# O(active) gate on bench_medium's sparse rows (8 transmitters + 32
+# listeners among n mostly idle nodes): a slot at n = 400k may cost at most
+# 20x one at n = 400.  Flat is ~1x; a per-slot O(n) pass is ~1000x.  Loose
+# on purpose: the rows are wall-clock on a ~1-CPU box.
+sparse_scaling=$(grep -o '"sparse_scaling": [0-9.e+-]*' bench-artifacts/BENCH_medium.json \
+  | head -1 | awk '{print $2}')
+awk -v r="${sparse_scaling}" 'BEGIN {
+  printf "sparse slot scaling (us/slot, n=400k over n=400): %sx (gate <= 20x)\n", r;
+  exit (r != "" && r <= 20) ? 0 : 1;
+}' || { echo "FAIL: sparse slots no longer cost O(active)"; exit 1; }
+
 # --list prints `name  description`, one preset per line, then a blank
 # line and the mobility-model list; the preset names are the first column
 # of the first block only.

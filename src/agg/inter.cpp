@@ -51,9 +51,9 @@ InterResult gossipAggregate(Simulator& sim, const Clustering& cl, const TdmaSche
   long round = 0;
   while (!allReached(cl, cur, target) && round < cap) {
     sim.step(
+        cl.dominators,
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!cl.isDominator[vi]) return Intent::idle();
           if (tdma.active(v, round) && sim.rng(v).bernoulli(tun.interTxProb)) {
             Message m;
             m.type = MsgType::Beacon;
@@ -111,9 +111,9 @@ InterResult treeAggregate(Simulator& sim, const Clustering& cl, const TdmaSchedu
   long round = 0;
   while (!allLeveled() && round < floodCap) {
     sim.step(
+        cl.dominators,
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!cl.isDominator[vi]) return Intent::idle();
           if (level[vi] >= 0 && tdma.active(v, round) &&
               sim.rng(v).bernoulli(tun.interTxProb)) {
             Message m;
@@ -166,9 +166,9 @@ InterResult treeAggregate(Simulator& sim, const Clustering& cl, const TdmaSchedu
     const long window = activeRounds * tdma.period + tdma.period;
     for (long w = 0; w < window; ++w, ++round) {
       sim.step(
+          cl.dominators,
           [&](NodeId v) -> Intent {
             const auto vi = static_cast<std::size_t>(v);
-            if (!cl.isDominator[vi]) return Intent::idle();
             if (level[vi] == lv && tdma.active(v, round) &&
                 sim.rng(v).bernoulli(tun.interTxProb)) {
               Message m;
@@ -204,9 +204,9 @@ InterResult treeAggregate(Simulator& sim, const Clustering& cl, const TdmaSchedu
   long downRound = 0;
   while (!allHave() && downRound < floodCap) {
     sim.step(
+        cl.dominators,
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!cl.isDominator[vi]) return Intent::idle();
           if (gotResult[vi] && tdma.active(v, downRound) &&
               sim.rng(v).bernoulli(tun.interTxProb)) {
             Message m;
@@ -249,9 +249,9 @@ std::uint64_t broadcastToClusters(Simulator& sim, const Clustering& cl, const Td
   std::uint64_t slots = 0;
   for (long round = 0; round < static_cast<long>(repeats) * tdma.period; ++round) {
     sim.step(
+        tdma.members(round),
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!tdma.active(v, round)) return Intent::idle();
           // 0.85: a rare same-color neighbor pair (coloring failure) would
           // otherwise collide identically in every repeat.
           if (cl.isDominator[vi] && sim.rng(v).bernoulli(0.85)) {

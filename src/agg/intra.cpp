@@ -92,12 +92,16 @@ UplinkMetrics runFollowerUplink(Simulator& sim, const AggregationStructure& s,
   long round = 0;
   while (undone > 0 && round < maxRounds) {
     // ---- Slot 1: data (or, on notify rounds, the backoff broadcast) ------
-    std::fill(sentOn.begin(), sentOn.end(), kNoChannel);
-    std::fill(pendingAck.begin(), pendingAck.end(), kNoNode);
+    // Only this round's members act, so only their scratch needs clearing.
+    const std::span<const NodeId> members = tdma.members(round);
+    for (const NodeId v : members) {
+      sentOn[static_cast<std::size_t>(v)] = kNoChannel;
+      pendingAck[static_cast<std::size_t>(v)] = kNoNode;
+    }
     sim.step(
+        members,
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!tdma.active(v, round)) return Intent::idle();
           const int pos = activeRounds[vi] % phaseLen;
           if (pos == gamma2) {  // notify round
             if (cl.isDominator[vi]) {
@@ -165,9 +169,9 @@ UplinkMetrics runFollowerUplink(Simulator& sim, const AggregationStructure& s,
 
     // ---- Slot 2: acks (idle on notify rounds) -----------------------------
     sim.step(
+        members,
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!tdma.active(v, round)) return Intent::idle();
           if (activeRounds[vi] % phaseLen == gamma2) return Intent::idle();
           // 0.85: if a faulty election left duplicate reporters on one
           // channel, deterministic simultaneous acks would collide forever.
@@ -197,9 +201,8 @@ UplinkMetrics runFollowerUplink(Simulator& sim, const AggregationStructure& s,
 
     // ---- Phase bookkeeping ------------------------------------------------
     bool phaseBoundary = false;
-    for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId v : members) {
       const auto vi = static_cast<std::size_t>(v);
-      if (!tdma.active(v, round)) continue;
       if (activeRounds[vi] % phaseLen == gamma2 && isFollower[vi]) {
         if (gotBackoff[vi]) {
           gotBackoff[vi] = 0;
@@ -271,12 +274,15 @@ IntraResult aggregateIntra(Simulator& sim, const AggregationStructure& s,
     if (s.isReporter[vi]) return static_cast<int>(s.reporterChannel[vi]) + 1;
     return -1;
   };
+  std::vector<NodeId> roleOwners;  // ascending; only they act in the tree
   for (NodeId v = 0; v < n; ++v) {
     if (heapOf(v) >= 0) {
       childVal[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(F) + 2, 0.0);
       childSeen[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(F) + 2, 0);
+      roleOwners.push_back(v);
     }
   }
+  const ColorClasses roleClasses = tdma.restrictedTo(roleOwners);
   const auto valueOf = [&](NodeId v) {
     const auto vi = static_cast<std::size_t>(v);
     double acc = base[vi];
@@ -294,13 +300,14 @@ IntraResult aggregateIntra(Simulator& sim, const AggregationStructure& s,
     std::fill(delivered.begin(), delivered.end(), 0);
     for (int level = maxLevel; level >= 0; --level) {
       for (long cycle = 0; cycle < tdma.period; ++cycle, ++round) {
+        const std::span<const NodeId> members = roleClasses.members(round);
         for (const int parity : {0, 1}) {
-          std::fill(ackTo.begin(), ackTo.end(), kNoNode);
+          for (const NodeId v : members) ackTo[static_cast<std::size_t>(v)] = kNoNode;
           sim.step(
+              members,
               [&](NodeId v) -> Intent {
                 const auto vi = static_cast<std::size_t>(v);
                 const int k = heapOf(v);
-                if (k < 0 || !tdma.active(v, round)) return Intent::idle();
                 // 0.9: a same-color cluster's tree would otherwise collide
                 // deterministically in every pass.  Parents replace child
                 // values, so retransmissions stay exact for Sum.
@@ -333,10 +340,10 @@ IntraResult aggregateIntra(Simulator& sim, const AggregationStructure& s,
           ++out.treeSlots;
 
           sim.step(
+              members,
               [&](NodeId v) -> Intent {
                 const auto vi = static_cast<std::size_t>(v);
                 const int k = heapOf(v);
-                if (k < 0 || !tdma.active(v, round)) return Intent::idle();
                 if (ackTo[vi] != kNoNode) {
                   Message m;
                   m.type = MsgType::TreeUpAck;
@@ -376,9 +383,9 @@ IntraResult aggregateIntra(Simulator& sim, const AggregationStructure& s,
     const int rounds = net.tuning().lnRounds(2.0, n, 8) * std::max(1, tdma.period);
     for (int t = 0; t < rounds; ++t, ++round) {
       sim.step(
+          tdma.members(round),
           [&](NodeId v) -> Intent {
             const auto vi = static_cast<std::size_t>(v);
-            if (!tdma.active(v, round)) return Intent::idle();
             if (s.isReporter[vi] && !delivered[vi] && sim.rng(v).bernoulli(0.4)) {
               Message m;
               m.type = MsgType::TreeUp;

@@ -49,12 +49,16 @@ AlohaUplinkResult alohaClusterUplink(Simulator& sim, const Clustering& cl,
       static_cast<long>(tun.aggMaxPhases) * phaseLen * std::max(1, tdma.period);
   long round = 0;
   while (undone > 0 && round < maxRounds) {
-    std::fill(pendingAck.begin(), pendingAck.end(), kNoNode);
-    std::fill(sent.begin(), sent.end(), 0);
+    // Only this round's members act, so only their scratch needs clearing.
+    const std::span<const NodeId> members = tdma.members(round);
+    for (const NodeId v : members) {
+      pendingAck[static_cast<std::size_t>(v)] = kNoNode;
+      sent[static_cast<std::size_t>(v)] = 0;
+    }
     sim.step(
+        members,
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!tdma.active(v, round)) return Intent::idle();
           const int pos = activeRounds[vi] % phaseLen;
           if (pos == gamma2) {  // notify round
             if (cl.isDominator[vi]) {
@@ -106,9 +110,9 @@ AlohaUplinkResult alohaClusterUplink(Simulator& sim, const Clustering& cl,
 
     // Ack slot.
     sim.step(
+        members,
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!tdma.active(v, round)) return Intent::idle();
           if (activeRounds[vi] % phaseLen == gamma2) return Intent::idle();
           if (pendingAck[vi] != kNoNode) {
             Message m;
@@ -129,9 +133,8 @@ AlohaUplinkResult alohaClusterUplink(Simulator& sim, const Clustering& cl,
         });
     ++out.slots;
 
-    for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId v : members) {
       const auto vi = static_cast<std::size_t>(v);
-      if (!tdma.active(v, round)) continue;
       if (activeRounds[vi] % phaseLen == gamma2 && pending[vi]) {
         if (gotBackoff[vi]) {
           gotBackoff[vi] = 0;

@@ -27,6 +27,7 @@ ChainSlotStats chainConcurrency(Simulator& sim, int trials) {
   for (int t = 0; t < trials; ++t) {
     int successes = 0;
     sim.step(
+        sim.allNodes(),
         [&](NodeId v) -> Intent {
           const auto c = static_cast<ChannelId>(v % numChannels);
           if (sim.rng(v).bernoulli(0.5)) {

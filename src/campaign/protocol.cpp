@@ -59,19 +59,7 @@ Json quantileStateToJson(const StreamingQuantiles& q) {
   const QuantileSketch& s = q.sketch();
   out.set("k", "sketch");
   out.set("a", s.alpha());
-  out.set("z", static_cast<std::size_t>(s.zeroCount()));
-  const auto sideToJson = [](const std::vector<QuantileSketch::Bucket>& side) {
-    Json arr = Json::array();
-    for (const QuantileSketch::Bucket& b : side) {
-      Json pair = Json::array();
-      pair.push_back(b.index);
-      pair.push_back(static_cast<std::size_t>(b.count));
-      arr.push_back(std::move(pair));
-    }
-    return arr;
-  };
-  out.set("neg", sideToJson(s.negativeBuckets()));
-  out.set("pos", sideToJson(s.positiveBuckets()));
+  sketchBucketsToJson(s, out);
   return out;
 }
 
@@ -91,29 +79,10 @@ bool quantileStateFromJson(const Json* j, StreamingQuantiles& out, std::string& 
                                         std::move(values));
     return true;
   }
-  const auto sideFromJson = [&err](const Json* arr, std::vector<QuantileSketch::Bucket>& side) {
-    if (arr == nullptr || !arr->isArray()) return true;
-    side.reserve(arr->size());
-    for (const Json& pair : arr->items()) {
-      if (!pair.isArray() || pair.size() != 2) continue;
-      QuantileSketch::Bucket b{};
-      if (!checkedInteger(pair.items()[0].asDouble(), b.index) ||
-          !checkedInteger(pair.items()[1].asDouble(), b.count)) {
-        err = "sketch bucket is not an integer pair in range";
-        return false;
-      }
-      side.push_back(b);
-    }
-    return true;
-  };
-  std::uint64_t zeros = 0;
-  std::vector<QuantileSketch::Bucket> neg, pos;
-  if (!j->intAt("z", zeros, err) || !sideFromJson(j->find("neg"), neg) ||
-      !sideFromJson(j->find("pos"), pos)) {
+  QuantileSketch sketch;
+  if (!sketchFromBucketsJson(*j, j->numberAt("a", QuantileSketch::kDefaultAlpha), sketch, err)) {
     return false;
   }
-  QuantileSketch sketch = QuantileSketch::fromState(j->numberAt("a", QuantileSketch::kDefaultAlpha),
-                                                    zeros, std::move(neg), std::move(pos));
   out = StreamingQuantiles::fromSketch(StreamingQuantiles::kDefaultExactThreshold,
                                        std::move(sketch));
   return true;
@@ -190,7 +159,12 @@ bool outcomeFromFrame(const Frame& frame, CellOutcome& out, std::string& err) {
   if (const Json* tm = b.find("telemetry"); tm != nullptr && tm->isObject()) {
     for (const auto& [name, value] : tm->members()) out.telemetry.set(name, value.asDouble());
   }
-  if (const Json* probes = b.find("probes")) out.probes = telemetry::probesFromJson(*probes);
+  if (const Json* probes = b.find("probes")) {
+    if (!telemetry::probesFromJson(*probes, out.probes, err)) {
+      err = "probes: " + err;
+      return false;
+    }
+  }
   return true;
 }
 

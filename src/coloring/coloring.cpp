@@ -67,13 +67,16 @@ ColoringResult runColoring(Simulator& sim, const AggregationStructure& s) {
   // childCount[v][k]: subtree size reported by heap child k.
   std::vector<std::int64_t> ownBlock(static_cast<std::size_t>(n), 0);
   std::vector<std::vector<std::int64_t>> childCount(static_cast<std::size_t>(n));
+  std::vector<NodeId> roleOwners;  // ascending; only they act in the tree
   for (NodeId v = 0; v < n; ++v) {
     const int k = heapOf(s, v);
     if (k < 0) continue;
     const auto vi = static_cast<std::size_t>(v);
     ownBlock[vi] = 1 + static_cast<std::int64_t>(followersOf[vi].size());
     childCount[vi].assign(static_cast<std::size_t>(F) + 2, 0);
+    roleOwners.push_back(v);
   }
+  const ColorClasses roleClasses = tdma.restrictedTo(roleOwners);
   const auto subtreeCount = [&](NodeId v) {
     const auto vi = static_cast<std::size_t>(v);
     std::int64_t total = ownBlock[vi];
@@ -94,13 +97,14 @@ ColoringResult runColoring(Simulator& sim, const AggregationStructure& s) {
     std::fill(delivered.begin(), delivered.end(), 0);
     for (int pass = 0; pass < passes; ++pass) {
       for (long cycle = 0; cycle < tdma.period; ++cycle, ++round) {
+        const std::span<const NodeId> members = roleClasses.members(round);
         for (const int parity : {0, 1}) {
-          std::fill(ackTo.begin(), ackTo.end(), kNoNode);
+          for (const NodeId v : members) ackTo[static_cast<std::size_t>(v)] = kNoNode;
           sim.step(
+              members,
               [&](NodeId v) -> Intent {
                 const auto vi = static_cast<std::size_t>(v);
                 const int k = heapOf(s, v);
-                if (k < 0 || !tdma.active(v, round)) return Intent::idle();
                 // 0.9: deterministic retransmissions would collide with a
                 // same-color cluster's tree forever.
                 if (k >= 1 && heapLevel(k) == level && (k & 1) == parity && !delivered[vi] &&
@@ -130,10 +134,10 @@ ColoringResult runColoring(Simulator& sim, const AggregationStructure& s) {
               });
           ++out.costs.tree;
           sim.step(
+              members,
               [&](NodeId v) -> Intent {
                 const auto vi = static_cast<std::size_t>(v);
                 const int k = heapOf(s, v);
-                if (k < 0 || !tdma.active(v, round)) return Intent::idle();
                 if (ackTo[vi] != kNoNode) {
                   Message m;
                   m.type = MsgType::TreeUpAck;
@@ -180,10 +184,10 @@ ColoringResult runColoring(Simulator& sim, const AggregationStructure& s) {
       for (long cycle = 0; cycle < tdma.period; ++cycle, ++round) {
         for (const int parity : {0, 1}) {
           sim.step(
+              roleClasses.members(round),
               [&](NodeId v) -> Intent {
                 const auto vi = static_cast<std::size_t>(v);
                 const int k = heapOf(s, v);
-                if (k < 0 || !tdma.active(v, round)) return Intent::idle();
                 // Parents with a known range announce the child of this
                 // parity at this level; heap indices above F have no node.
                 const int childK = 2 * k + parity;
@@ -257,10 +261,11 @@ ColoringResult runColoring(Simulator& sim, const AggregationStructure& s) {
       (static_cast<long>(maxList) * 2 + tun.lnRounds(4.0, n)) * std::max(1, tdma.period) + 8;
   for (long t = 0; t < cap && pendingFollowers > 0; ++t, ++round) {
     // Slot A: assignment.
+    const std::span<const NodeId> members = tdma.members(round);
     sim.step(
+        members,
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!tdma.active(v, round)) return Intent::idle();
           // 0.85: deterministic retransmissions would collide forever with
           // a same-color cluster assigning on the same channel.
           if (s.isReporter[vi] && rangeLo[vi] >= 0 && cursor[vi] < followersOf[vi].size() &&
@@ -293,9 +298,9 @@ ColoringResult runColoring(Simulator& sim, const AggregationStructure& s) {
     ++out.costs.broadcast;
     // Slot B: follower acks; reporter advances its cursor.
     sim.step(
+        members,
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!tdma.active(v, round)) return Intent::idle();
           if (acked[vi] && sim.rng(v).bernoulli(0.85)) {
             acked[vi] = 0;
             Message m;

@@ -26,9 +26,10 @@ int verifySweep(Simulator& sim, Clustering& cl, std::vector<char>& uncolored, in
   const int totalRounds = colorPeriod > 0 ? rounds * colorPeriod : rounds;
   for (int t = 0; t < totalRounds; ++t) {
     sim.step(
+        cl.dominators,
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!cl.isDominator[vi] || cl.colorOfCluster[vi] < 0) return Intent::idle();
+          if (cl.colorOfCluster[vi] < 0) return Intent::idle();
           if (colorPeriod > 0 && cl.colorOfCluster[vi] % colorPeriod != t % colorPeriod) {
             return Intent::idle();
           }

@@ -19,8 +19,8 @@ std::uint64_t broadcastEstimates(Simulator& sim, const Clustering& cl, const Tdm
   std::uint64_t slots = 0;
   for (long round = 0; round < static_cast<long>(repeats) * tdma.period; ++round) {
     sim.step(
+        tdma.members(round),
         [&](NodeId v) -> Intent {
-          if (!tdma.active(v, round)) return Intent::idle();
           if (cl.isDominator[static_cast<std::size_t>(v)] && sim.rng(v).bernoulli(0.85)) {
             Message m;
             m.type = MsgType::CsaEstimate;
@@ -86,24 +86,27 @@ PhaseLoopOut csaPhaseLoop(Simulator& sim, const TdmaSchedule& tdma,
   std::vector<int> phaseCount(static_cast<std::size_t>(n), 0);
 
   int undone = 0;
+  std::vector<NodeId> group;  // sinks and participants, ascending
   for (NodeId v = 0; v < n; ++v) {
     const auto vi = static_cast<std::size_t>(v);
     if (isSink[vi] || sinkOf[vi] != kNoNode) {
       ++undone;
+      group.push_back(v);
     } else {
       done[vi] = 1;  // bystander
     }
   }
+  const ColorClasses groupClasses = tdma.restrictedTo(group);
 
   const long hardCap =
       static_cast<long>(maxPhases + 1) * phaseLen * std::max(1, tdma.period) + 16;
   long round = 0;
   while (undone > 0 && round < hardCap) {
+    const std::span<const NodeId> members = groupClasses.members(round);
     sim.step(
+        members,
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!tdma.active(v, round)) return Intent::idle();
-          if (!isSink[vi] && sinkOf[vi] == kNoNode) return Intent::idle();
           const int pos = activeRounds[vi] % phaseLen;
           const int j = activeRounds[vi] / phaseLen;
           if (isSink[vi]) {
@@ -171,10 +174,8 @@ PhaseLoopOut csaPhaseLoop(Simulator& sim, const TdmaSchedule& tdma,
         });
     // Advance per-node phase clocks, and estimate bookkeeping.
     int newPhasesMax = out.phasesMax;
-    for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId v : members) {
       const auto vi = static_cast<std::size_t>(v);
-      if (!tdma.active(v, round)) continue;
-      if (!isSink[vi] && sinkOf[vi] == kNoNode) continue;
       ++activeRounds[vi];
       newPhasesMax = std::max(newPhasesMax, activeRounds[vi] / phaseLen);
     }
@@ -280,6 +281,7 @@ CsaResult runCsaSmall(Simulator& sim, const Clustering& cl, int deltaHat) {
   // channels have no owner; the ack-fallback lets a child adopt its
   // missing parent (Appendix A's auxiliary nodes).
   std::vector<std::vector<std::pair<int, double>>> roles(static_cast<std::size_t>(n));
+  std::vector<NodeId> roleOwners;  // ascending; only they ever act in the tree
   for (NodeId v = 0; v < n; ++v) {
     const auto vi = static_cast<std::size_t>(v);
     if (dominatees[vi] && rs.inSet[vi]) {
@@ -287,7 +289,9 @@ CsaResult runCsaSmall(Simulator& sim, const Clustering& cl, int deltaHat) {
     } else if (cl.isDominator[vi]) {
       roles[vi].push_back({0, 0.0});
     }
+    if (!roles[vi].empty()) roleOwners.push_back(v);
   }
+  const ColorClasses roleClasses = tdma.restrictedTo(roleOwners);
   const auto roleIndex = [&](NodeId v, int k) -> int {
     const auto& rv = roles[static_cast<std::size_t>(v)];
     for (std::size_t i = 0; i < rv.size(); ++i) {
@@ -333,11 +337,13 @@ CsaResult runCsaSmall(Simulator& sim, const Clustering& cl, int deltaHat) {
     for (long cycle = 0; cycle < tdma.period; ++cycle, ++round) {
       for (const int parity : {0, 1}) {
         // ---- Up slot: children of parity `parity` transmit -------------
-        std::fill(pendingAck.begin(), pendingAck.end(), -1);
+        // Only this round's members listen, so only they can hold an ack.
+        const std::span<const NodeId> members = roleClasses.members(round);
+        for (const NodeId v : members) pendingAck[static_cast<std::size_t>(v)] = -1;
         sim.step(
+            members,
             [&](NodeId v) -> Intent {
               const auto vi = static_cast<std::size_t>(v);
-              if (!tdma.active(v, round)) return Intent::idle();
               for (const auto& [k, val] : roles[vi]) {
                 if (k >= 1 && heapLevel(k) == level && (k & 1) == parity && !delivered[vi]) {
                   Message m;
@@ -375,9 +381,9 @@ CsaResult runCsaSmall(Simulator& sim, const Clustering& cl, int deltaHat) {
 
         // ---- Ack slot ---------------------------------------------------
         sim.step(
+            members,
             [&](NodeId v) -> Intent {
               const auto vi = static_cast<std::size_t>(v);
-              if (!tdma.active(v, round)) return Intent::idle();
               if (pendingAck[vi] >= 0) {
                 Message m;
                 m.type = MsgType::TreeUpAck;
@@ -412,9 +418,9 @@ CsaResult runCsaSmall(Simulator& sim, const Clustering& cl, int deltaHat) {
         // listens as the parent when the right sibling transmits.  Only
         // one child adopts; the sibling gets acknowledged by the adopter.
         if (attempt == 1) {
-          for (NodeId v = 0; v < n; ++v) {
+          for (const NodeId v : members) {
             const auto vi = static_cast<std::size_t>(v);
-            if (!tdma.active(v, round) || delivered[vi]) continue;
+            if (delivered[vi]) continue;
             auto& rv = roles[vi];
             const std::size_t existing = rv.size();
             for (std::size_t i = 0; i < existing; ++i) {

@@ -69,8 +69,16 @@ DominatingSetResult buildDominatingSet(Simulator& sim) {
   if (danglingCount > 0) {
     const SinrBounds& kb = net.bounds();
     const int assocRounds = tun.lnRounds(tun.gammaAssoc, n, 8);
+    // Dominators announce and dangling nodes listen; nobody else acts
+    // (rebinding only ever clears `dangling`).
+    std::vector<NodeId> actors;
+    for (NodeId v = 0; v < n; ++v) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (cl.isDominator[vi] || dangling[vi]) actors.push_back(v);
+    }
     for (int t = 0; t < assocRounds; ++t) {
       sim.step(
+          actors,
           [&](NodeId v) -> Intent {
             const auto vi = static_cast<std::size_t>(v);
             if (cl.isDominator[vi]) {

@@ -66,12 +66,17 @@ ReporterSetup electReporters(Simulator& sim, const Clustering& cl,
   // deterministic reporter-tree schedule and corrupt Sum/coloring ranges.
   const int verifyRounds = tun.lnRounds(2.0 * tun.gammaRuling, n, 24) * tdma.period;
   std::vector<char> demote(static_cast<std::size_t>(n), 0);
+  std::vector<NodeId> reporters;
+  for (NodeId v = 0; v < n; ++v) {
+    if (out.isReporter[static_cast<std::size_t>(v)]) reporters.push_back(v);
+  }
+  const ColorClasses reporterClasses = tdma.restrictedTo(reporters);
   for (int t = 0; t < verifyRounds; ++t) {
     sim.step(
+        reporterClasses.members(t),
         [&](NodeId v) -> Intent {
           const auto vi = static_cast<std::size_t>(v);
-          if (!out.isReporter[vi] || demote[vi]) return Intent::idle();
-          if (!tdma.active(v, t)) return Intent::idle();
+          if (demote[vi]) return Intent::idle();
           if (sim.rng(v).bernoulli(0.3)) {
             Message m;
             m.type = MsgType::In;

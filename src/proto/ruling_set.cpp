@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
+#include <vector>
 
 #include "geom/grid_index.h"
 
@@ -38,13 +40,20 @@ RulingSetResult runRulingSet(Simulator& sim, const std::vector<char>& participan
   std::vector<State> state(static_cast<std::size_t>(n), State::Out);
   std::vector<double> prob(static_cast<std::size_t>(n), cfg.initialProb);
   std::vector<int> activeRounds(static_cast<std::size_t>(n), 0);
-  int numActive = 0;
+  std::vector<NodeId> parts;  // ascending, as Simulator::step requires
+  parts.reserve(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
     if (participants[static_cast<std::size_t>(v)]) {
       state[static_cast<std::size_t>(v)] = State::Active;
-      ++numActive;
+      parts.push_back(v);
     }
   }
+  int numActive = static_cast<int>(parts.size());
+  // Each round runs the participants the TDMA admits; of them, only the
+  // still-Active ones (the gated list) act in slots 1 and 2.
+  const ColorClasses partClasses = cfg.tdma.restrictedTo(parts);
+  std::vector<NodeId> gated;
+  gated.reserve(parts.size());
 
   const auto channel = [&](NodeId v) -> ChannelId {
     return cfg.channelOf.empty() ? ChannelId{0} : cfg.channelOf[static_cast<std::size_t>(v)];
@@ -53,8 +62,7 @@ RulingSetResult runRulingSet(Simulator& sim, const std::vector<char>& participan
     return cfg.groupOf.empty() ? kNoNode : cfg.groupOf[static_cast<std::size_t>(v)];
   };
 
-  // Per-round scratch.
-  std::vector<char> gated(static_cast<std::size_t>(n), 0);
+  // Per-round scratch, all clear between rounds.
   std::vector<char> sentHello(static_cast<std::size_t>(n), 0);
   std::vector<NodeId> clearHelloFrom(static_cast<std::size_t>(n), kNoNode);
   std::vector<char> gotAck(static_cast<std::size_t>(n), 0);
@@ -68,7 +76,6 @@ RulingSetResult runRulingSet(Simulator& sim, const std::vector<char>& participan
   // they hear, tracking demotions.
   const auto inSlotIntent = [&](NodeId v) -> Intent {
     const auto vi = static_cast<std::size_t>(v);
-    if (!participants[vi] || !cfg.tdma.active(v, round)) return Intent::idle();
     Message m;
     m.type = MsgType::In;
     m.src = v;
@@ -76,7 +83,8 @@ RulingSetResult runRulingSet(Simulator& sim, const std::vector<char>& participan
     if (state[vi] == State::InSet && sim.rng(v).bernoulli(cfg.reannounceProb)) {
       return Intent::transmit(channel(v), m);
     }
-    if (gated[vi] && sentHello[vi] && gotAck[vi]) return Intent::transmit(channel(v), m);
+    // Only this round's gated nodes can hold both flags.
+    if (sentHello[vi] && gotAck[vi]) return Intent::transmit(channel(v), m);
     return Intent::listen(channel(v));
   };
   const auto inSlotReceive = [&](NodeId v, const Reception& r) {
@@ -108,18 +116,16 @@ RulingSetResult runRulingSet(Simulator& sim, const std::vector<char>& participan
 
   int maxActiveRounds = 0;
   while (numActive > 0 && maxActiveRounds < cfg.totalRounds) {
-    // Recompute the TDMA gate for this round.
-    for (NodeId v = 0; v < n; ++v) {
-      gated[static_cast<std::size_t>(v)] =
-          state[static_cast<std::size_t>(v)] == State::Active && cfg.tdma.active(v, round);
+    const std::span<const NodeId> members = partClasses.members(round);
+    gated.clear();
+    for (const NodeId v : members) {
+      if (state[static_cast<std::size_t>(v)] == State::Active) gated.push_back(v);
     }
 
     // ---- Slot 1: HELLO --------------------------------------------------
-    std::fill(sentHello.begin(), sentHello.end(), 0);
-    std::fill(clearHelloFrom.begin(), clearHelloFrom.end(), kNoNode);
     sim.step(
+        gated,
         [&](NodeId v) -> Intent {
-          if (!gated[static_cast<std::size_t>(v)]) return Intent::idle();
           if (sim.rng(v).bernoulli(prob[static_cast<std::size_t>(v)])) {
             sentHello[static_cast<std::size_t>(v)] = 1;
             Message m;
@@ -140,10 +146,9 @@ RulingSetResult runRulingSet(Simulator& sim, const std::vector<char>& participan
         });
 
     // ---- Slot 2: ACK ----------------------------------------------------
-    std::fill(gotAck.begin(), gotAck.end(), 0);
     sim.step(
+        gated,
         [&](NodeId v) -> Intent {
-          if (!gated[static_cast<std::size_t>(v)]) return Intent::idle();
           const NodeId target = clearHelloFrom[static_cast<std::size_t>(v)];
           if (target != kNoNode && sim.rng(v).bernoulli(cfg.ackProb)) {
             Message m;
@@ -163,23 +168,25 @@ RulingSetResult runRulingSet(Simulator& sim, const std::vector<char>& participan
         });
 
     // ---- Slot 3: IN -------------------------------------------------------
-    sim.step(inSlotIntent, inSlotReceive);
+    sim.step(members, inSlotIntent, inSlotReceive);
 
     // Joiners enter S and halt.
-    for (NodeId v = 0; v < n; ++v) {
-      if (gated[static_cast<std::size_t>(v)] && sentHello[static_cast<std::size_t>(v)] &&
-          gotAck[static_cast<std::size_t>(v)] &&
-          state[static_cast<std::size_t>(v)] == State::Active) {
-        state[static_cast<std::size_t>(v)] = State::InSet;
-        res.inSet[static_cast<std::size_t>(v)] = 1;
+    for (const NodeId v : gated) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (sentHello[vi] && gotAck[vi] && state[vi] == State::Active) {
+        state[vi] = State::InSet;
+        res.inSet[vi] = 1;
         --numActive;
       }
     }
 
-    // Advance per-node active-round counters and the doubling schedule.
-    for (NodeId v = 0; v < n; ++v) {
-      if (!gated[static_cast<std::size_t>(v)]) continue;
+    // Advance per-node active-round counters and the doubling schedule,
+    // and clear the slot scratch (only gated nodes ever set it).
+    for (const NodeId v : gated) {
       const auto vi = static_cast<std::size_t>(v);
+      sentHello[vi] = 0;
+      clearHelloFrom[vi] = kNoNode;
+      gotAck[vi] = 0;
       ++activeRounds[vi];
       maxActiveRounds = std::max(maxActiveRounds, activeRounds[vi]);
       if (cfg.epochRounds > 0 && activeRounds[vi] % cfg.epochRounds == 0) {
@@ -197,12 +204,10 @@ RulingSetResult runRulingSet(Simulator& sim, const std::vector<char>& participan
 
   // ---- Resolution tail: settle member conflicts and give stragglers a
   // last chance to hear a member before survivors self-elect --------------
-  std::fill(sentHello.begin(), sentHello.end(), 0);
-  std::fill(gotAck.begin(), gotAck.end(), 0);
   const int tailRounds =
       std::max(12, cfg.totalRounds / 4) * std::max(1, cfg.tdma.period);
   for (int t = 0; t < tailRounds; ++t) {
-    sim.step(inSlotIntent, inSlotReceive);
+    sim.step(partClasses.members(round), inSlotIntent, inSlotReceive);
     ++round;
     ++res.slotsUsed;
   }

@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "util/ids.h"
 
@@ -94,5 +97,17 @@ struct Reception {
     return received ? totalPower - signalPower : totalPower;
   }
 };
+
+/// The non-Idle node ids of a node-indexed intent vector, ascending: the
+/// `active` list Medium::resolveSlot takes, for callers that build a whole
+/// slot's intents by hand (tests, benches).  The Simulator never scans n;
+/// it collects its active list from the step's candidates.
+[[nodiscard]] inline std::vector<NodeId> activeNodes(std::span<const Intent> intents) {
+  std::vector<NodeId> active;
+  for (std::size_t v = 0; v < intents.size(); ++v) {
+    if (intents[v].action != Action::Idle) active.push_back(static_cast<NodeId>(v));
+  }
+  return active;
+}
 
 }  // namespace mcs

@@ -1,5 +1,8 @@
 #include "sim/simulator.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace mcs {
 
 Simulator::Simulator(const Network& net, int numChannels, std::uint64_t seed, int numThreads)
@@ -12,8 +15,22 @@ Simulator::Simulator(const Network& net, int numChannels, std::uint64_t seed, in
   // (scenario/runner.h).
   for (std::size_t v = 0; v < n; ++v) rngs_.push_back(root_.fork(v + 1));
   medium_.seedFading(root_.fork(0)());
+  allNodes_.resize(n);
+  for (std::size_t v = 0; v < n; ++v) allNodes_[v] = static_cast<NodeId>(v);
   intents_.resize(n);
+  active_.reserve(n);
   receptions_.resize(n);
+}
+
+// Unsorted or duplicate candidates would reorder the Medium's transmitter
+// buckets (breaking Exact-mode bit-identity) or run a node's intent twice;
+// like the Medium's channel check, this fires in every build type.
+void Simulator::candidateOrderFailure(NodeId prev, NodeId v, NodeId n) {
+  std::fprintf(stderr,
+               "mcs: fatal: step candidate %d after %d: candidates must be strictly "
+               "ascending node ids in [0, %d)\n",
+               v, prev, n);
+  std::abort();
 }
 
 void Simulator::attachDynamics(const TopologyParams& params) {

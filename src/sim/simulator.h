@@ -19,13 +19,16 @@
 
 /// Slot-synchronous execution engine.
 ///
-/// A protocol advances the simulation one slot at a time: it supplies an
-/// intent for every node, the Medium resolves all channels under SINR,
-/// and the protocol observes each listener's Reception.  All protocol
-/// randomness must come from `rng(v)` so runs are reproducible.  The
-/// Medium's fading layer (when enabled via SinrParams::fading) is keyed
-/// by a dedicated fork of the root Rng (stream 0), so impaired runs are
-/// just as reproducible per seed.
+/// A protocol advances the simulation one slot at a time: it names the
+/// slot's candidates (the nodes that may act, ascending) and supplies an
+/// intent for each of them; every other node is Idle.  The Medium resolves
+/// all channels under SINR, and the protocol observes each listener's
+/// Reception.  A slot therefore costs O(candidates), not O(n): under the
+/// cluster TDMA only one color class is a candidate per round.  All
+/// protocol randomness must come from `rng(v)` so runs are reproducible.
+/// The Medium's fading layer (when enabled via SinrParams::fading) is
+/// keyed by a dedicated fork of the root Rng (stream 0), so impaired runs
+/// are just as reproducible per seed.
 ///
 /// Topology dynamics: attachDynamics() arms a per-slot hook that advances
 /// a mobility model and a churn process (mobility/mobility.h) before the
@@ -51,23 +54,43 @@ class Simulator {
   void attachDynamics(const TopologyParams& params);
 
   /// Runs one slot.  `intentOf(NodeId) -> Intent` is called for every
-  /// node; `onReception(NodeId, const Reception&)` for every listener.
+  /// live candidate, in order; all other nodes are Idle this slot.
+  /// `onReception(NodeId, const Reception&)` is called for every listener,
+  /// in ascending id.  Candidates must be strictly ascending ids in
+  /// [0, n): Exact-mode summation order (and with it bit-identity)
+  /// follows it, so a violation aborts in every build type.  Any superset
+  /// of the nodes whose intent is not Idle gives the same slot, provided
+  /// intentOf has no side effects for the nodes it idles.
   template <class IntentFn, class RecvFn>
-  void step(IntentFn&& intentOf, RecvFn&& onReception) {
+  void step(std::span<const NodeId> candidates, IntentFn&& intentOf, RecvFn&& onReception) {
     // One "slot" span per step (arg = slot ordinal) when tracing is on;
     // a disarmed TraceScope costs one relaxed load.
     static const telemetry::TraceNameId kSlotSpan = telemetry::traceName("slot");
     const telemetry::TraceScope slotSpan(kSlotSpan, static_cast<std::int64_t>(slots_));
-    const int n = net_->size();
+    const SimTelemetry& tm = simTm();
     if (dyn_) dyn_->advance(slots_, positions_);
-    for (NodeId v = 0; v < n; ++v) {
-      intents_[static_cast<std::size_t>(v)] =
-          (dyn_ && !dyn_->alive(v)) ? Intent::idle() : intentOf(v);
+    {
+      const telemetry::PhaseTimer t(tm.collectIntents);
+      active_.clear();
+      const NodeId n = net_->size();
+      NodeId prev = -1;
+      for (const NodeId v : candidates) {
+        if (v <= prev || v >= n) candidateOrderFailure(prev, v, n);
+        prev = v;
+        if (dyn_ && !dyn_->alive(v)) continue;
+        Intent& it = intents_[static_cast<std::size_t>(v)];
+        it = intentOf(v);
+        if (it.action != Action::Idle) active_.push_back(v);
+      }
+      telemetry::counterAdd(tm.intentsEvaluated, candidates.size());
     }
-    medium_.resolveSlot(positions(), intents_, receptions_);
-    for (NodeId v = 0; v < n; ++v) {
-      if (intents_[static_cast<std::size_t>(v)].action == Action::Listen) {
-        onReception(v, receptions_[static_cast<std::size_t>(v)]);
+    medium_.resolveSlot(positions(), intents_, active_, receptions_);
+    {
+      const telemetry::PhaseTimer t(tm.deliver);
+      for (const NodeId v : active_) {
+        if (intents_[static_cast<std::size_t>(v)].action == Action::Listen) {
+          onReception(v, receptions_[static_cast<std::size_t>(v)]);
+        }
       }
     }
     // Optional protocol progress probe (telemetry/probes.h): sampled after
@@ -82,6 +105,10 @@ class Simulator {
       throw std::runtime_error("Simulator: safety slot cap exceeded (protocol stuck?)");
     }
   }
+
+  /// Every node id, ascending: the candidate list of a slot in which any
+  /// node may act.
+  [[nodiscard]] std::span<const NodeId> allNodes() const noexcept { return allNodes_; }
 
   [[nodiscard]] const Network& network() const noexcept { return *net_; }
   [[nodiscard]] int numChannels() const noexcept { return medium_.numChannels(); }
@@ -126,7 +153,26 @@ class Simulator {
   Medium medium_;
   Rng root_;
   std::vector<Rng> rngs_;
+  /// Registered once; ids are stable for the process.  Write-only, like
+  /// every telemetry instrument.
+  struct SimTelemetry {
+    telemetry::TimerId collectIntents = telemetry::timerId("sim.collect_intents");
+    telemetry::TimerId deliver = telemetry::timerId("sim.deliver");
+    telemetry::CounterId intentsEvaluated = telemetry::counterId("sim.intents_evaluated");
+  };
+  static const SimTelemetry& simTm() {
+    static const SimTelemetry ids;
+    return ids;
+  }
+  [[noreturn]] static void candidateOrderFailure(NodeId prev, NodeId v, NodeId n);
+
+  std::vector<NodeId> allNodes_;
+  /// Node-indexed intents.  Only the entries of active_ are this slot's;
+  /// the rest may be stale, and neither the Medium nor delivery reads them.
   std::vector<Intent> intents_;
+  /// This slot's non-Idle nodes, ascending (what the Medium populates from).
+  std::vector<NodeId> active_;
+  /// Node-indexed; only listener entries are written each slot.
   std::vector<Reception> receptions_;
   std::unique_ptr<TopologyDynamics> dyn_;
   std::vector<Vec2> positions_;  ///< Mutable copy, populated iff dynamic.

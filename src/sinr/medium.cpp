@@ -5,7 +5,7 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <type_traits>
 
@@ -62,6 +62,28 @@ telemetry::CounterId hierLevelCounter(int level) {
 /// Matches HierGrid's private kMaxLevels bound (64 halvings cover any
 /// long-indexable grid); sized for the per-slot admission tally below.
 constexpr int kHierLevelSlots = 64;
+
+/// Telemetry-armed slot tallies: lanes accumulate locally (an add per
+/// batched cell or near pair, noise next to the kernel work) and publish
+/// once per range.  Built only when telemetry is on, so a disarmed slot
+/// zeroes none of these atomics.
+struct CounterTally {
+  std::atomic<std::uint64_t> candidates{0};
+  std::atomic<std::uint64_t> exactPairs{0};
+  std::atomic<std::uint64_t> nearPairs{0};
+  std::atomic<std::uint64_t> farCells{0};
+  std::array<std::atomic<std::uint64_t>, kHierLevelSlots> hierLevels{};
+};
+
+/// Probes-armed cause tallies; built only when probes are armed.
+struct ProbeTally {
+  std::atomic<std::uint64_t> noTx{0};
+  std::atomic<std::uint64_t> dead{0};
+  std::atomic<std::uint64_t> noise{0};
+  std::atomic<std::uint64_t> interf{0};
+  std::atomic<std::uint64_t> trunc{0};
+  std::atomic<std::uint64_t> tie{0};
+};
 
 }  // namespace
 
@@ -170,20 +192,21 @@ void Medium::buildFieldsDynamic(std::span<const Vec2> positions, bool buildHier)
 }
 
 void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent> intents,
-                         std::vector<Reception>& out) {
+                         std::span<const NodeId> active, std::vector<Reception>& out) {
   const std::size_t n = positions.size();
   assert(intents.size() == n);
   const telemetry::PhaseTimer resolveTimer(mediumTm().resolve);
-  out.assign(n, Reception{});
+  if (out.size() != n) out.assign(n, Reception{});
   ++stats_.slots;
 
   // Stage the slot in the SoA workspace: channel-bucketed transmitter
   // ids/coordinates (counting sort) plus the listener list.  populate
-  // also validates every intent's channel with a Release-armed check.
+  // also validates the active order and every intent's channel with
+  // Release-armed checks.
   std::size_t txTotal;
   {
     const telemetry::PhaseTimer t(mediumTm().populate);
-    txTotal = ws_.populate(positions, intents, numChannels_);
+    txTotal = ws_.populate(positions, intents, active, numChannels_);
   }
   stats_.transmissions += txTotal;
   stats_.listens += ws_.listeners.size();
@@ -196,9 +219,9 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
     if (telemetry::probesEnabled()) {
       // Listener-free slots still tick the series so the active-transmitter
       // trace covers every resolved slot, not just contended ones.
-      telemetry::SlotProbeSample sample;
-      sample.txIntents = txTotal;
-      telemetry::probeSlot(stats_.slots - 1, sample);
+      probeSample_.clear();
+      probeSample_.txIntents = txTotal;
+      telemetry::probeSlot(stats_.slots - 1, probeSample_);
     }
     return;
   }
@@ -236,34 +259,21 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
   const std::uint64_t slotIdx = ++fadingSlot_;
 
   std::atomic<std::uint64_t> decodes{0};
-  // Per-slot telemetry tallies: lanes accumulate locally (an add per
-  // batched cell or near pair, noise next to the kernel work) and publish
-  // once per range; the registry is only touched when telemetry is on.
-  std::atomic<std::uint64_t> tmCandidates{0};
-  std::atomic<std::uint64_t> tmExactPairs{0};
-  std::atomic<std::uint64_t> tmNearPairs{0};
-  std::atomic<std::uint64_t> tmFarCells{0};
-  std::array<std::atomic<std::uint64_t>, kHierLevelSlots> tmHierLevels{};
+  std::optional<CounterTally> tm;
+  if (telemetry::enabled()) tm.emplace();
 
   // Decode attribution (telemetry/probes.h): armed runs classify every
   // failed listen into exactly one cause and sketch SINR margins, through
   // a separate compile-time instantiation of the sweep below — the
-  // disarmed hot path keeps its exact instruction stream.  Cause tallies
-  // ride the same lane-local/publish-once pattern as the counters above;
-  // lane margin sketches fold into one slot-level sample under a slot-
-  // local mutex (sketch merges commute, so lane arrival order — and hence
-  // thread count — cannot change the result).
+  // disarmed hot path keeps its exact instruction stream.
   const bool probesArmed = telemetry::probesEnabled();
   const std::uint8_t* aliveMask = aliveMask_.empty() ? nullptr : aliveMask_.data();
   const std::size_t aliveMaskSize = aliveMask_.size();
-  std::atomic<std::uint64_t> causeNoTx{0};
-  std::atomic<std::uint64_t> causeDead{0};
-  std::atomic<std::uint64_t> causeNoise{0};
-  std::atomic<std::uint64_t> causeInterf{0};
-  std::atomic<std::uint64_t> causeTrunc{0};
-  std::atomic<std::uint64_t> causeTie{0};
-  telemetry::SlotProbeSample slotSample;
-  std::mutex slotSampleMu;
+  std::optional<ProbeTally> probes;
+  if (probesArmed) {
+    probes.emplace();
+    if (probeDb_.size() < ws_.listeners.size()) probeDb_.resize(ws_.listeners.size());
+  }
 
   // Exact per-pair re-check of the far field for one failed listener:
   // the strongest far transmitter's *exact* faded power.  Only reachable
@@ -314,7 +324,6 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
     [[maybe_unused]] std::uint64_t localCauseNoTx = 0, localCauseDead = 0,
                                    localCauseNoise = 0, localCauseInterf = 0,
                                    localCauseTrunc = 0, localCauseTie = 0;
-    QuantileSketch localMargin, localNear, localFar;
     // Hier traversal is timed per worker range, not per listener: a clock
     // read per listener costs more than the traversal it would measure
     // (the per-level admission counters carry the fine-grained breakdown).
@@ -323,6 +332,8 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
     for (std::size_t li = rangeBegin; li < rangeEnd; ++li) {
       const NodeId v = ws_.listeners[li];
       const ChannelId c = intents[static_cast<std::size_t>(v)].channel;
+      Reception& r = out[static_cast<std::size_t>(v)];
+      r = Reception{};
       const std::int32_t lo = ws_.bucketBegin(c);
       const std::int32_t hi = ws_.bucketEnd(c);
       // Liveness is an attribution concern only (see setAliveMask); a dead
@@ -331,6 +342,7 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
       if constexpr (kProbes) {
         deadListener = aliveMask != nullptr && static_cast<std::size_t>(v) < aliveMaskSize &&
                        aliveMask[static_cast<std::size_t>(v)] == 0;
+        probeDb_[li].has = 0;
       }
       if (lo == hi) {  // silent channel
         if constexpr (kProbes) {
@@ -497,7 +509,6 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
             });
       }
 
-      Reception& r = out[static_cast<std::size_t>(v)];
       r.totalPower = total;
       // SINR condition (1) for the strongest transmitter.  With beta >= 1 no
       // weaker transmitter can satisfy it, so checking the strongest suffices.
@@ -515,15 +526,23 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
         // SINR margin in dB for every decode candidate (positive decoded,
         // negative failed), plus the near/far split of this listener's
         // interference power.
+        ListenerDb& db = probeDb_[li];
         if (bestTx != kNoNode) {
           const double denom = beta * (noise + (total - best));
           if (best > 0.0 && denom > 0.0) {
-            localMargin.add(10.0 * std::log10(best / denom));
+            db.margin = 10.0 * std::log10(best / denom);
+            db.has |= 1;
           }
           const double nearInterf = total - farTotal - best;
-          if (nearInterf > 0.0) localNear.add(10.0 * std::log10(nearInterf));
+          if (nearInterf > 0.0) {
+            db.near = 10.0 * std::log10(nearInterf);
+            db.has |= 2;
+          }
         }
-        if (farTotal > 0.0) localFar.add(10.0 * std::log10(farTotal));
+        if (farTotal > 0.0) {
+          db.far = 10.0 * std::log10(farTotal);
+          db.has |= 4;
+        }
 
         if (!decoded) {
           // Exclusive causes, checked in precedence order so every failed
@@ -558,31 +577,25 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
     }
     decodes.fetch_add(localDecodes, std::memory_order_relaxed);
     if (timeHier) telemetry::timerRecordSlow(mediumTm().hierTraverse, nowNanos() - hierT0);
-    if (telemetry::enabled()) {
-      tmCandidates.fetch_add(localCandidates, std::memory_order_relaxed);
-      tmExactPairs.fetch_add(localExactPairs, std::memory_order_relaxed);
-      tmNearPairs.fetch_add(localNearPairs, std::memory_order_relaxed);
-      tmFarCells.fetch_add(localFarCells, std::memory_order_relaxed);
+    if (tm) {
+      tm->candidates.fetch_add(localCandidates, std::memory_order_relaxed);
+      tm->exactPairs.fetch_add(localExactPairs, std::memory_order_relaxed);
+      tm->nearPairs.fetch_add(localNearPairs, std::memory_order_relaxed);
+      tm->farCells.fetch_add(localFarCells, std::memory_order_relaxed);
       for (int k = 0; k < kHierLevelSlots; ++k) {
         if (localHierLevels[static_cast<std::size_t>(k)] > 0) {
-          tmHierLevels[static_cast<std::size_t>(k)].fetch_add(
+          tm->hierLevels[static_cast<std::size_t>(k)].fetch_add(
               localHierLevels[static_cast<std::size_t>(k)], std::memory_order_relaxed);
         }
       }
     }
     if constexpr (kProbes) {
-      causeNoTx.fetch_add(localCauseNoTx, std::memory_order_relaxed);
-      causeDead.fetch_add(localCauseDead, std::memory_order_relaxed);
-      causeNoise.fetch_add(localCauseNoise, std::memory_order_relaxed);
-      causeInterf.fetch_add(localCauseInterf, std::memory_order_relaxed);
-      causeTrunc.fetch_add(localCauseTrunc, std::memory_order_relaxed);
-      causeTie.fetch_add(localCauseTie, std::memory_order_relaxed);
-      {
-        const std::lock_guard<std::mutex> lock(slotSampleMu);
-        slotSample.marginDb.merge(localMargin);
-        slotSample.nearDb.merge(localNear);
-        slotSample.farDb.merge(localFar);
-      }
+      probes->noTx.fetch_add(localCauseNoTx, std::memory_order_relaxed);
+      probes->dead.fetch_add(localCauseDead, std::memory_order_relaxed);
+      probes->noise.fetch_add(localCauseNoise, std::memory_order_relaxed);
+      probes->interf.fetch_add(localCauseInterf, std::memory_order_relaxed);
+      probes->trunc.fetch_add(localCauseTrunc, std::memory_order_relaxed);
+      probes->tie.fetch_add(localCauseTie, std::memory_order_relaxed);
     }
   };
   // One compile-time instantiation per arming state: the disarmed sweep
@@ -606,34 +619,43 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
   }
   stats_.decodes += decodes.load(std::memory_order_relaxed);
 
-  if (probesArmed) {
+  if (probes) {
     telemetry::counterAdd(mediumTm().causeNoTransmitter,
-                          causeNoTx.load(std::memory_order_relaxed));
+                          probes->noTx.load(std::memory_order_relaxed));
     telemetry::counterAdd(mediumTm().causeDeadListener,
-                          causeDead.load(std::memory_order_relaxed));
+                          probes->dead.load(std::memory_order_relaxed));
     telemetry::counterAdd(mediumTm().causeNoiseLimited,
-                          causeNoise.load(std::memory_order_relaxed));
+                          probes->noise.load(std::memory_order_relaxed));
     telemetry::counterAdd(mediumTm().causeInterferenceLimited,
-                          causeInterf.load(std::memory_order_relaxed));
+                          probes->interf.load(std::memory_order_relaxed));
     telemetry::counterAdd(mediumTm().causeNearfarTruncated,
-                          causeTrunc.load(std::memory_order_relaxed));
+                          probes->trunc.load(std::memory_order_relaxed));
     telemetry::counterAdd(mediumTm().causeLostTie,
-                          causeTie.load(std::memory_order_relaxed));
-    slotSample.listens = ws_.listeners.size();
-    slotSample.decodes = decodes.load(std::memory_order_relaxed);
-    slotSample.txIntents = txTotal;
-    telemetry::probeSlot(stats_.slots - 1, slotSample);
+                          probes->tie.load(std::memory_order_relaxed));
+    // Serial fold in listener order: a sketch's state is a function of
+    // the value multiset, so thread count cannot change the result.
+    probeSample_.clear();
+    for (std::size_t li = 0; li < ws_.listeners.size(); ++li) {
+      const ListenerDb& db = probeDb_[li];
+      if (db.has & 1) probeSample_.marginDb.add(db.margin);
+      if (db.has & 2) probeSample_.nearDb.add(db.near);
+      if (db.has & 4) probeSample_.farDb.add(db.far);
+    }
+    probeSample_.listens = ws_.listeners.size();
+    probeSample_.decodes = decodes.load(std::memory_order_relaxed);
+    probeSample_.txIntents = txTotal;
+    telemetry::probeSlot(stats_.slots - 1, probeSample_);
   }
 
-  if (telemetry::enabled()) {
+  if (tm) {
     telemetry::counterAdd(mediumTm().decodes, decodes.load(std::memory_order_relaxed));
-    telemetry::counterAdd(mediumTm().candidates, tmCandidates.load(std::memory_order_relaxed));
-    telemetry::counterAdd(mediumTm().exactPairs, tmExactPairs.load(std::memory_order_relaxed));
-    telemetry::counterAdd(mediumTm().nearPairs, tmNearPairs.load(std::memory_order_relaxed));
-    telemetry::counterAdd(mediumTm().farCells, tmFarCells.load(std::memory_order_relaxed));
+    telemetry::counterAdd(mediumTm().candidates, tm->candidates.load(std::memory_order_relaxed));
+    telemetry::counterAdd(mediumTm().exactPairs, tm->exactPairs.load(std::memory_order_relaxed));
+    telemetry::counterAdd(mediumTm().nearPairs, tm->nearPairs.load(std::memory_order_relaxed));
+    telemetry::counterAdd(mediumTm().farCells, tm->farCells.load(std::memory_order_relaxed));
     for (int k = 0; k < kHierLevelSlots; ++k) {
-      const std::uint64_t adm = tmHierLevels[static_cast<std::size_t>(k)].load(
-          std::memory_order_relaxed);
+      const std::uint64_t adm =
+          tm->hierLevels[static_cast<std::size_t>(k)].load(std::memory_order_relaxed);
       if (adm > 0) telemetry::counterAdd(hierLevelCounter(k), adm);
     }
   }

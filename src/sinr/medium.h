@@ -13,6 +13,7 @@
 #include "sinr/fading.h"
 #include "sinr/params.h"
 #include "sinr/workspace.h"
+#include "telemetry/probes.h"
 #include "util/ids.h"
 #include "util/thread_pool.h"
 
@@ -108,9 +109,13 @@ class Medium {
   /// std::thread pool; results are identical to the single-threaded run.
   Medium(SinrParams params, int numChannels, int numThreads = 1);
 
-  /// Resolves one slot.  `intents[v]` is node v's declared behavior;
-  /// `out[v]` is filled for every listener (and cleared for everyone
-  /// else).  Transmitters observe nothing (half-duplex, §2).
+  /// Resolves one slot at O(active) cost.  `intents[v]` is node v's
+  /// declared behavior, indexed by node id; `active` lists the nodes
+  /// whose intent is not Idle, strictly ascending (checked; see
+  /// MediumWorkspace::populate), and only those entries are read.  `out`
+  /// is sized to n on first use and then only each listener's entry is
+  /// reset and written; entries of non-listeners keep whatever they held.
+  /// Transmitters observe nothing (half-duplex, §2).
   ///
   /// Semantics per listener on channel c:
   ///  - totalPower = sum of P/d(w,v)^alpha over all transmitters w on c;
@@ -119,7 +124,7 @@ class Medium {
   ///  - at most one message decodes per slot (beta >= 1 makes the
   ///    strongest the only candidate).
   void resolveSlot(std::span<const Vec2> positions, std::span<const Intent> intents,
-                   std::vector<Reception>& out);
+                   std::span<const NodeId> active, std::vector<Reception>& out);
 
   [[nodiscard]] const SinrParams& params() const noexcept { return params_; }
   [[nodiscard]] int numChannels() const noexcept { return numChannels_; }
@@ -207,6 +212,17 @@ class Medium {
 
   /// Attribution-only liveness mask (see setAliveMask); empty = alive.
   std::vector<std::uint8_t> aliveMask_;
+
+  /// Probes-armed scratch kept across slots, so an armed slot allocates
+  /// nothing once warm: each listener's margin / near / far dB values
+  /// (indexed like ws_.listeners; `has` bits 1/2/4 mark which exist),
+  /// folded into probeSample_ after the sweep.
+  struct ListenerDb {
+    double margin = 0.0, near = 0.0, far = 0.0;
+    std::uint8_t has = 0;
+  };
+  std::vector<ListenerDb> probeDb_;
+  telemetry::SlotProbeSample probeSample_;
 
   // Incremental NearFar path (setDynamicPositions): a persistent index
   // over ALL node positions, updated in place each slot.

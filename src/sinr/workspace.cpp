@@ -16,25 +16,37 @@ namespace {
   std::abort();
 }
 
+[[noreturn]] void activeOrderFailure(NodeId prev, NodeId v, std::size_t n) {
+  std::fprintf(stderr,
+               "mcs: fatal: active node %d after %d: the active list must be strictly "
+               "ascending node ids in [0, %zu)\n",
+               v, prev, n);
+  std::abort();
+}
+
 }  // namespace
 
 std::size_t MediumWorkspace::populate(std::span<const Vec2> positions,
-                                      std::span<const Intent> intents, int numChannels) {
+                                      std::span<const Intent> intents,
+                                      std::span<const NodeId> active, int numChannels) {
   const std::size_t n = positions.size();
   chanStart.assign(static_cast<std::size_t>(numChannels) + 1, 0);
   listeners.clear();
   std::size_t txTotal = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const Intent& it = intents[v];
+  NodeId prev = -1;
+  for (const NodeId v : active) {
+    if (v <= prev || static_cast<std::size_t>(v) >= n) activeOrderFailure(prev, v, n);
+    prev = v;
+    const Intent& it = intents[static_cast<std::size_t>(v)];
     if (it.action == Action::Idle) continue;
     if (it.channel < 0 || it.channel >= numChannels) {
-      channelRangeFailure(v, it.channel, numChannels);
+      channelRangeFailure(static_cast<std::size_t>(v), it.channel, numChannels);
     }
     if (it.action == Action::Transmit) {
       ++chanStart[static_cast<std::size_t>(it.channel) + 1];
       ++txTotal;
     } else {
-      listeners.push_back(static_cast<NodeId>(v));
+      listeners.push_back(v);
     }
   }
   for (int c = 0; c < numChannels; ++c) {
@@ -45,13 +57,13 @@ std::size_t MediumWorkspace::populate(std::span<const Vec2> positions,
   txX.resize(txTotal);
   txY.resize(txTotal);
   cursor_.assign(chanStart.begin(), chanStart.end() - 1);
-  for (std::size_t v = 0; v < n; ++v) {
-    const Intent& it = intents[v];
+  for (const NodeId v : active) {
+    const Intent& it = intents[static_cast<std::size_t>(v)];
     if (it.action != Action::Transmit) continue;
     const auto slot = static_cast<std::size_t>(cursor_[static_cast<std::size_t>(it.channel)]++);
-    txIds[slot] = static_cast<NodeId>(v);
-    txX[slot] = positions[v].x;
-    txY[slot] = positions[v].y;
+    txIds[slot] = v;
+    txX[slot] = positions[static_cast<std::size_t>(v)].x;
+    txY[slot] = positions[static_cast<std::size_t>(v)].y;
   }
   return txTotal;
 }

@@ -29,14 +29,17 @@ struct MediumWorkspace {
   std::vector<double> txY;
   std::vector<NodeId> listeners;
 
-  /// Rebuilds every buffer from this slot's intents (counting sort by
-  /// channel).  Validates that every non-idle intent names a channel in
-  /// [0, numChannels) with a check that stays armed in Release builds:
-  /// an out-of-range channel would otherwise index out of bounds with
-  /// asserts compiled out, so it aborts loudly instead.  Returns the
-  /// transmitter count.
+  /// Rebuilds every buffer from this slot's active nodes (counting sort
+  /// by channel): one count pass and one fill pass over `active`, never
+  /// over all n.  `active` must list strictly ascending node ids in [0, n)
+  /// (Idle entries are skipped); `intents` is indexed by node id.  Both
+  /// that order and every non-idle intent's channel in [0, numChannels)
+  /// are checked with aborts that stay armed in Release builds: an
+  /// out-of-range channel would otherwise index out of bounds with
+  /// asserts compiled out, and an unsorted list would silently reorder
+  /// the Exact-mode summation.  Returns the transmitter count.
   std::size_t populate(std::span<const Vec2> positions, std::span<const Intent> intents,
-                       int numChannels);
+                       std::span<const NodeId> active, int numChannels);
 
   [[nodiscard]] std::int32_t bucketBegin(ChannelId c) const noexcept {
     return chanStart[static_cast<std::size_t>(c)];

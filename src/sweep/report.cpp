@@ -201,7 +201,10 @@ bool loadCellResult(const std::string& path, CellResult& out, std::string& err) 
     }
   }
   if (const Json* probes = j.find("probes"); probes != nullptr) {
-    out.probes = telemetry::probesFromJson(*probes);
+    if (!telemetry::probesFromJson(*probes, out.probes, err)) {
+      err = path + ": probes: " + err;
+      return false;
+    }
   }
   return true;
 }

@@ -22,43 +22,17 @@ ProbeRegistry& probeReg() {
 
 Json sketchToJson(const QuantileSketch& s) {
   Json out = Json::object();
-  out.set("z", static_cast<std::size_t>(s.zeroCount()));
-  const auto sideToJson = [](const std::vector<QuantileSketch::Bucket>& side) {
-    Json arr = Json::array();
-    for (const QuantileSketch::Bucket& b : side) {
-      Json pair = Json::array();
-      pair.push_back(b.index);
-      pair.push_back(static_cast<std::size_t>(b.count));
-      arr.push_back(std::move(pair));
-    }
-    return arr;
-  };
-  out.set("neg", sideToJson(s.negativeBuckets()));
-  out.set("pos", sideToJson(s.positiveBuckets()));
+  sketchBucketsToJson(s, out);
   return out;
 }
 
-QuantileSketch sketchFromJson(const Json* j) {
-  if (j == nullptr || !j->isObject()) return QuantileSketch{};
-  const auto sideFromJson = [](const Json* arr) {
-    std::vector<QuantileSketch::Bucket> side;
-    if (arr == nullptr || !arr->isArray()) return side;
-    side.reserve(arr->size());
-    for (const Json& pair : arr->items()) {
-      if (!pair.isArray() || pair.size() != 2) continue;
-      side.push_back(QuantileSketch::Bucket{
-          static_cast<std::int32_t>(pair.items()[0].asDouble()),
-          static_cast<std::uint64_t>(pair.items()[1].asDouble())});
-    }
-    return side;
-  };
-  return QuantileSketch::fromState(QuantileSketch::kDefaultAlpha,
-                                   static_cast<std::uint64_t>(j->numberAt("z")),
-                                   sideFromJson(j->find("neg")), sideFromJson(j->find("pos")));
-}
-
-std::uint64_t u64At(const Json& j, const char* key) {
-  return static_cast<std::uint64_t>(j.numberAt(key));
+/// A missing sketch member reads as an empty sketch (older blobs).
+bool sketchFromJson(const Json* j, QuantileSketch& out, std::string& err) {
+  if (j == nullptr || !j->isObject()) {
+    out = QuantileSketch{};
+    return true;
+  }
+  return sketchFromBucketsJson(*j, QuantileSketch::kDefaultAlpha, out, err);
 }
 
 }  // namespace
@@ -117,33 +91,38 @@ Json probesToJson(const ProbeState& p) {
   return out;
 }
 
-ProbeState probesFromJson(const Json& j) {
-  ProbeState p;
-  if (!j.isObject()) return p;
-  p.marginDb = sketchFromJson(j.find("margin_db"));
-  p.nearDb = sketchFromJson(j.find("near_db"));
-  p.farDb = sketchFromJson(j.find("far_db"));
-  if (const Json* series = j.find("series"); series != nullptr && series->isObject()) {
-    std::vector<SlotSeries::Window> leading;
-    if (const Json* windows = series->find("windows");
-        windows != nullptr && windows->isArray()) {
-      leading.reserve(windows->size());
-      for (const Json& jw : windows->items()) {
-        SlotSeries::Window w;
-        w.slots = u64At(jw, "slots");
-        w.listens = u64At(jw, "listens");
-        w.decodes = u64At(jw, "decodes");
-        w.txIntents = u64At(jw, "tx");
-        w.progressNum = u64At(jw, "pnum");
-        w.progressDen = u64At(jw, "pden");
-        w.margin = sketchFromJson(jw.find("margin"));
-        leading.push_back(std::move(w));
-      }
-    }
-    p.series = SlotSeries::fromState(static_cast<std::uint64_t>(series->numberAt("span", 1.0)),
-                                     std::move(leading));
+bool probesFromJson(const Json& j, ProbeState& out, std::string& err) {
+  out = ProbeState();
+  if (!j.isObject()) return true;
+  if (!sketchFromJson(j.find("margin_db"), out.marginDb, err) ||
+      !sketchFromJson(j.find("near_db"), out.nearDb, err) ||
+      !sketchFromJson(j.find("far_db"), out.farDb, err)) {
+    return false;
   }
-  return p;
+  const Json* series = j.find("series");
+  if (series == nullptr || !series->isObject()) return true;
+  std::vector<SlotSeries::Window> leading;
+  if (const Json* windows = series->find("windows"); windows != nullptr && windows->isArray()) {
+    leading.reserve(windows->size());
+    for (const Json& jw : windows->items()) {
+      SlotSeries::Window w;
+      if (!jw.intAt("slots", w.slots, err) || !jw.intAt("listens", w.listens, err) ||
+          !jw.intAt("decodes", w.decodes, err) || !jw.intAt("tx", w.txIntents, err) ||
+          !jw.intAt("pnum", w.progressNum, err) || !jw.intAt("pden", w.progressDen, err) ||
+          !sketchFromJson(jw.find("margin"), w.margin, err)) {
+        err = "series window: " + err;
+        return false;
+      }
+      leading.push_back(std::move(w));
+    }
+  }
+  std::uint64_t span = 1;
+  if (!series->intAt("span", span, err, std::uint64_t{1})) {
+    err = "series: " + err;
+    return false;
+  }
+  out.series = SlotSeries::fromState(span, std::move(leading));
+  return true;
 }
 
 }  // namespace mcs::telemetry

@@ -34,8 +34,8 @@
 /// diffed like counters, so there is no snapshot-delta idiom here.
 namespace mcs::telemetry {
 
-/// One resolved slot's probe payload, accumulated lane-locally in the
-/// medium and folded into the global state in a single probeSlot() call.
+/// One resolved slot's probe payload, accumulated by the medium and
+/// folded into the global state in a single probeSlot() call.
 struct SlotProbeSample {
   std::uint64_t listens = 0;
   std::uint64_t decodes = 0;
@@ -43,6 +43,15 @@ struct SlotProbeSample {
   QuantileSketch marginDb;
   QuantileSketch nearDb;
   QuantileSketch farDb;
+
+  /// Back to an empty sample, keeping sketch storage (a reused sample
+  /// costs no allocation once warm).
+  void clear() noexcept {
+    listens = decodes = txIntents = 0;
+    marginDb.clear();
+    nearDb.clear();
+    farDb.clear();
+  }
 };
 
 /// The mergeable probe aggregate: what a cell captures, a RESULT frame
@@ -88,8 +97,10 @@ void resetProbes();
 /// JSON round-trip for cell files, RESULT frames, and campaign reports:
 /// {"margin_db": <sketch>, "near_db": <sketch>, "far_db": <sketch>,
 ///  "series": {"span": s, "windows": [...]}} — lossless, so cell files
-/// carry the same probe bytes whichever process wrote them.
+/// carry the same probe bytes whichever process wrote them.  The decode
+/// reads untrusted bytes: a count, bucket, or span that its integer field
+/// cannot hold fails with `err` naming it, instead of being cast.
 [[nodiscard]] Json probesToJson(const ProbeState& p);
-[[nodiscard]] ProbeState probesFromJson(const Json& j);
+[[nodiscard]] bool probesFromJson(const Json& j, ProbeState& out, std::string& err);
 
 }  // namespace mcs::telemetry

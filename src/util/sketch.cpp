@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/json.h"
+
 namespace mcs {
 
 QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
@@ -48,6 +50,14 @@ void QuantileSketch::add(double x, std::uint64_t weight) {
 }
 
 void QuantileSketch::mergeSide(std::vector<Bucket>& into, const std::vector<Bucket>& from) {
+  // A few buckets into a large side (one slot's margins into a run-wide
+  // sketch, every slot when probes are armed) bump in place: no
+  // allocation and no full copy.  Either way the result is the same
+  // sorted, count-summed bucket list.
+  if (from.size() * 8 <= into.size()) {
+    for (const Bucket& b : from) bump(into, b.index, b.count);
+    return;
+  }
   std::vector<Bucket> out;
   out.reserve(into.size() + from.size());
   std::size_t i = 0, j = 0;
@@ -192,6 +202,52 @@ Summary StreamingStats::summary() const {
     s.p95 = quantiles.quantile(0.95);
   }
   return s;
+}
+
+void sketchBucketsToJson(const QuantileSketch& s, Json& out) {
+  out.set("z", static_cast<std::size_t>(s.zeroCount()));
+  const auto sideToJson = [](const std::vector<QuantileSketch::Bucket>& side) {
+    Json arr = Json::array();
+    for (const QuantileSketch::Bucket& b : side) {
+      Json pair = Json::array();
+      pair.push_back(b.index);
+      pair.push_back(static_cast<std::size_t>(b.count));
+      arr.push_back(std::move(pair));
+    }
+    return arr;
+  };
+  out.set("neg", sideToJson(s.negativeBuckets()));
+  out.set("pos", sideToJson(s.positiveBuckets()));
+}
+
+bool sketchFromBucketsJson(const Json& j, double alpha, QuantileSketch& out, std::string& err) {
+  if (!(alpha > 0.0 && alpha < 1.0)) {  // the constructor would abort
+    err = "sketch alpha is outside (0, 1)";
+    return false;
+  }
+  const auto sideFromJson = [&err](const Json* arr, std::vector<QuantileSketch::Bucket>& side) {
+    if (arr == nullptr || !arr->isArray()) return true;
+    side.reserve(arr->size());
+    for (const Json& pair : arr->items()) {
+      if (!pair.isArray() || pair.size() != 2) continue;
+      QuantileSketch::Bucket b{};
+      if (!checkedInteger(pair.items()[0].asDouble(), b.index) ||
+          !checkedInteger(pair.items()[1].asDouble(), b.count)) {
+        err = "sketch bucket is not an integer pair in range";
+        return false;
+      }
+      side.push_back(b);
+    }
+    return true;
+  };
+  std::uint64_t zeros = 0;
+  std::vector<QuantileSketch::Bucket> neg, pos;
+  if (!j.intAt("z", zeros, err) || !sideFromJson(j.find("neg"), neg) ||
+      !sideFromJson(j.find("pos"), pos)) {
+    return false;
+  }
+  out = QuantileSketch::fromState(alpha, zeros, std::move(neg), std::move(pos));
+  return true;
 }
 
 }  // namespace mcs

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -54,6 +55,14 @@ class QuantileSketch {
   explicit QuantileSketch(double alpha = kDefaultAlpha);
 
   void add(double x, std::uint64_t weight = 1);
+
+  /// Back to empty, keeping the bucket storage for reuse.
+  void clear() noexcept {
+    zero_ = 0;
+    count_ = 0;
+    neg_.clear();
+    pos_.clear();
+  }
 
   /// Adds `other`'s bucket counts in.  Both sketches must share alpha
   /// (they always do in this codebase: alpha is campaign-global); a
@@ -178,5 +187,20 @@ struct StreamingStats {
 /// structure_slots, wall_sec, then protocol metrics) — the row shape the
 /// store writes and the wire ships.
 using NamedStats = std::vector<std::pair<std::string, StreamingStats>>;
+
+class Json;
+
+/// The bucket-state JSON shared by probe blobs and RESULT frames: sets
+/// "z" (zero count), "neg" and "pos" ([[index, count], ...]) on the
+/// object `out`, in that order.
+void sketchBucketsToJson(const QuantileSketch& s, Json& out);
+
+/// Reads that state back as a sketch with `alpha`.  Missing members read
+/// as empty and malformed pairs are skipped, but a zero count or bucket
+/// number that its integer field cannot hold (NaN, fractional, out of
+/// range) fails with `err` set — never a cast of an untrusted double —
+/// and so does an alpha outside (0, 1), which the constructor rejects.
+[[nodiscard]] bool sketchFromBucketsJson(const Json& j, double alpha, QuantileSketch& out,
+                                         std::string& err);
 
 }  // namespace mcs

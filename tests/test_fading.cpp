@@ -120,7 +120,7 @@ Trace runTrace(const SinrParams& params, std::uint64_t fadingKey, int numThreads
       const auto c = static_cast<ChannelId>(intentRng.below(4));
       intents[v] = intentRng.bernoulli(0.2) ? Intent::transmit(c, {}) : Intent::listen(c);
     }
-    medium.resolveSlot(pts, intents, rx);
+    medium.resolveSlot(pts, intents, activeNodes(intents), rx);
     for (const Reception& r : rx) {
       t.received.push_back(r.received ? 1 : 0);
       t.signal.push_back(r.signalPower);
@@ -187,9 +187,9 @@ TEST(FadingMedium, ResetStatsDoesNotRewindTheFadingSequence) {
   Medium medium(params, 1);
   medium.seedFading(777);
   std::vector<Reception> first, second;
-  medium.resolveSlot(pts, intents, first);
+  medium.resolveSlot(pts, intents, activeNodes(intents), first);
   medium.resetStats();
-  medium.resolveSlot(pts, intents, second);
+  medium.resolveSlot(pts, intents, activeNodes(intents), second);
   EXPECT_EQ(medium.stats().slots, 1u);  // stats did reset...
   bool anyDiffers = false;
   for (std::size_t v = 0; v < pts.size(); ++v) {
@@ -210,8 +210,7 @@ TEST(FadingSimulator, SeedReproducesImpairedRun) {
   const auto run = [&net](std::uint64_t seed) {
     Simulator sim(net, 4, seed);
     for (int s = 0; s < 40; ++s) {
-      sim.step(
-          [&sim, s](NodeId v) {
+      sim.step(sim.allNodes(), [&sim, s](NodeId v) {
             const auto c = static_cast<ChannelId>(sim.rng(v).below(4));
             return (s + v) % 3 == 0 ? Intent::transmit(c, {}) : Intent::listen(c);
           },

@@ -68,7 +68,7 @@ TEST(MediumColocated, DuplicatePositionDecodesWithFiniteRanging) {
   std::vector<Intent> intents{Intent::transmit(0, m), Intent::listen(0)};
   std::vector<Reception> rx;
   Medium medium(p, 1);
-  medium.resolveSlot(pos, intents, rx);
+  medium.resolveSlot(pos, intents, activeNodes(intents), rx);
 
   const Reception& r = rx[1];
   ASSERT_TRUE(r.received);
@@ -91,7 +91,7 @@ TEST(MediumColocated, DuplicateTransmittersCollideFinitely) {
                               Intent::listen(0), Intent::listen(0)};
   std::vector<Reception> rx;
   Medium medium(p, 1);
-  medium.resolveSlot(pos, intents, rx);
+  medium.resolveSlot(pos, intents, activeNodes(intents), rx);
   EXPECT_TRUE(std::isfinite(rx[2].totalPower));
   EXPECT_FALSE(rx[3].received);  // co-located listener: two equal giants collide
   EXPECT_TRUE(std::isfinite(rx[3].totalPower));
@@ -106,7 +106,7 @@ TEST(MediumColocated, TinyButPositiveDistancesAreNotClamped) {
   std::vector<Intent> intents{Intent::transmit(0, {}), Intent::listen(0)};
   std::vector<Reception> rx;
   Medium medium(p, 1);
-  medium.resolveSlot(pos, intents, rx);
+  medium.resolveSlot(pos, intents, activeNodes(intents), rx);
   ASSERT_TRUE(rx[1].received);
   EXPECT_NEAR(rx[1].signalPower, p.rxPower(d), 1e-12 * p.rxPower(d));
 }
@@ -121,7 +121,7 @@ TEST(MediumEdge, AllIdleSlot) {
   std::vector<Intent> intents(3, Intent::idle());
   std::vector<Reception> rx;
   Medium medium(p, 2);
-  medium.resolveSlot(pos, intents, rx);
+  medium.resolveSlot(pos, intents, activeNodes(intents), rx);
   for (const Reception& r : rx) {
     EXPECT_FALSE(r.received);
     EXPECT_EQ(r.totalPower, 0.0);
@@ -139,7 +139,7 @@ TEST(MediumEdge, ListenersOnSilentChannelObserveNothing) {
   std::vector<Intent> intents{Intent::transmit(0, {}), Intent::listen(1), Intent::listen(1)};
   std::vector<Reception> rx;
   Medium medium(p, 2);
-  medium.resolveSlot(pos, intents, rx);
+  medium.resolveSlot(pos, intents, activeNodes(intents), rx);
   EXPECT_FALSE(rx[1].received);
   EXPECT_EQ(rx[1].totalPower, 0.0);
   EXPECT_FALSE(rx[2].received);
@@ -156,7 +156,7 @@ TEST(MediumEdge, SingleTransmitterAtExactTransmissionRange) {
   std::vector<Intent> intents{Intent::transmit(0, {}), Intent::listen(0)};
   std::vector<Reception> rx;
   Medium medium(p, 1);
-  medium.resolveSlot(pos, intents, rx);
+  medium.resolveSlot(pos, intents, activeNodes(intents), rx);
   ASSERT_TRUE(rx[1].received);
   EXPECT_NEAR(rx[1].senderDistance, 1.0, 1e-9);
 }
@@ -182,8 +182,8 @@ TEST(MediumNearFar, CoincidentFarClusterMatchesExactExactly) {
   std::vector<Reception> a, b;
   Medium mediumExact(exact, 1);
   Medium mediumApprox(approx, 1);
-  mediumExact.resolveSlot(pos, intents, a);
-  mediumApprox.resolveSlot(pos, intents, b);
+  mediumExact.resolveSlot(pos, intents, activeNodes(intents), a);
+  mediumApprox.resolveSlot(pos, intents, activeNodes(intents), b);
 
   ASSERT_TRUE(a[0].received);
   ASSERT_TRUE(b[0].received);
@@ -209,8 +209,8 @@ TEST(MediumNearFar, RandomInstanceAgreesWithExact) {
   std::vector<Reception> a, b;
   Medium mediumExact(exact, 2);
   Medium mediumApprox(approx, 2);
-  mediumExact.resolveSlot(pos, intents, a);
-  mediumApprox.resolveSlot(pos, intents, b);
+  mediumExact.resolveSlot(pos, intents, activeNodes(intents), a);
+  mediumApprox.resolveSlot(pos, intents, activeNodes(intents), b);
 
   int listeners = 0;
   int decodeDisagreements = 0;
@@ -259,8 +259,8 @@ TEST(MediumHier, CoincidentFarClusterMatchesExactExactly) {
   std::vector<Reception> a, b;
   Medium mediumExact(exact, 1);
   Medium mediumApprox(approx, 1);
-  mediumExact.resolveSlot(pos, intents, a);
-  mediumApprox.resolveSlot(pos, intents, b);
+  mediumExact.resolveSlot(pos, intents, activeNodes(intents), a);
+  mediumApprox.resolveSlot(pos, intents, activeNodes(intents), b);
 
   ASSERT_TRUE(a[0].received);
   ASSERT_TRUE(b[0].received);
@@ -295,8 +295,8 @@ HierVsExact compareHierToExact(double theta, int n, double side, std::uint64_t s
   std::vector<Reception> a, b;
   Medium mediumExact(exact, 2);
   Medium mediumApprox(approx, 2);
-  mediumExact.resolveSlot(pos, intents, a);
-  mediumApprox.resolveSlot(pos, intents, b);
+  mediumExact.resolveSlot(pos, intents, activeNodes(intents), a);
+  mediumApprox.resolveSlot(pos, intents, activeNodes(intents), b);
 
   HierVsExact r;
   for (int v = 0; v < n; ++v) {
@@ -375,8 +375,8 @@ TEST(MediumHier, DynamicPositionsPathStaysWithinBounds) {
       p.x += 1e-4 * (2.0 * rng.uniform() - 1.0);
       p.y += 1e-4 * (2.0 * rng.uniform() - 1.0);
     }
-    mediumExact.resolveSlot(pos, intents, a);
-    dynamicHier.resolveSlot(pos, intents, b);
+    mediumExact.resolveSlot(pos, intents, activeNodes(intents), a);
+    dynamicHier.resolveSlot(pos, intents, activeNodes(intents), b);
     int decodeDisagreements = 0;
     int listeners = 0;
     for (int v = 0; v < n; ++v) {
@@ -413,8 +413,8 @@ TEST(MediumHier, FadingRunsAreDeterministicPerKey) {
   m2.seedFading(42);
   std::vector<Reception> a, b;
   for (int slot = 0; slot < 2; ++slot) {
-    m1.resolveSlot(pos, intents, a);
-    m2.resolveSlot(pos, intents, b);
+    m1.resolveSlot(pos, intents, activeNodes(intents), a);
+    m2.resolveSlot(pos, intents, activeNodes(intents), b);
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].received, b[i].received);
       EXPECT_EQ(a[i].totalPower, b[i].totalPower);
@@ -446,8 +446,8 @@ TEST(MediumThreads, ResultsBitIdenticalToSingleThread) {
     EXPECT_EQ(threaded.numThreads(), 4);
     std::vector<Reception> a, b;
     for (int slot = 0; slot < 3; ++slot) {
-      serial.resolveSlot(pos, intents, a);
-      threaded.resolveSlot(pos, intents, b);
+      serial.resolveSlot(pos, intents, activeNodes(intents), a);
+      threaded.resolveSlot(pos, intents, activeNodes(intents), b);
       ASSERT_EQ(a.size(), b.size());
       for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].received, b[i].received);

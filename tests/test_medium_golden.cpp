@@ -64,7 +64,7 @@ std::uint64_t hashExactSlots(double alpha, int channels, FadingModel fading, int
   std::vector<Reception> rx;
   std::uint64_t h = 1469598103934665603ull;
   for (int s = 0; s < slots; ++s) {
-    medium.resolveSlot(pos, intents, rx);
+    medium.resolveSlot(pos, intents, activeNodes(intents), rx);
     for (const Reception& r : rx) {
       h = fnv1a(h, r.received ? 1 : 0);
       h = fnv1a(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(r.msg.src)));
@@ -132,7 +132,7 @@ TEST(MediumGoldenDeathTest, OutOfRangeChannelAbortsLoudly) {
   std::vector<Intent> intents{Intent::listen(0), Intent::listen(0)};
   intents[1].channel = 7;  // out of [0, 2)
   std::vector<Reception> rx;
-  EXPECT_DEATH(medium.resolveSlot(pos, intents, rx), "channel 7");
+  EXPECT_DEATH(medium.resolveSlot(pos, intents, activeNodes(intents), rx), "channel 7");
 }
 
 }  // namespace

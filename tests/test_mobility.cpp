@@ -126,8 +126,7 @@ TEST(MobilityDeterminism, MediumThreadCountInvariance) {
     sim.attachDynamics(topo);
     std::uint64_t decodes = 0;
     for (int t = 0; t < 120; ++t) {
-      sim.step(
-          [&](NodeId v) {
+      sim.step(sim.allNodes(), [&](NodeId v) {
             return sim.rng(v).bernoulli(0.2)
                        ? Intent::transmit(static_cast<ChannelId>(v % 2), {})
                        : Intent::listen(static_cast<ChannelId>(v % 2));
@@ -208,7 +207,8 @@ TEST(MobilityKinematics, WalkAndWaypointRespectSpeedAndBox) {
     sim.attachDynamics(topo);
     std::vector<Vec2> prev(net.positions().begin(), net.positions().end());
     for (int t = 0; t < 200; ++t) {
-      sim.step([](NodeId) { return Intent::idle(); }, [](NodeId, const Reception&) {});
+      sim.step(sim.allNodes(), [](NodeId) { return Intent::idle(); },
+               [](NodeId, const Reception&) {});
       const std::span<const Vec2> cur = sim.positions();
       for (std::size_t v = 0; v < prev.size(); ++v) {
         // Per-slot displacement is bounded by the speed (reflection can
@@ -243,7 +243,8 @@ TEST(MobilityKinematics, GroupMembersStayTethered) {
   // + tether pull bound per-slot displacement by 2 * speed.
   std::vector<Vec2> prev(net.positions().begin(), net.positions().end());
   for (int t = 0; t < 700; ++t) {
-    sim.step([](NodeId) { return Intent::idle(); }, [](NodeId, const Reception&) {});
+    sim.step(sim.allNodes(), [](NodeId) { return Intent::idle(); },
+             [](NodeId, const Reception&) {});
     const std::span<const Vec2> now = sim.positions();
     for (std::size_t v = 0; v < prev.size(); ++v) {
       ASSERT_LE(dist(prev[v], now[v]), 2.0 * topo.mobility.speed + 1e-12)
@@ -281,7 +282,7 @@ TEST(Churn, AllNodesDeadIsSafeAndRevivable) {
   topo.churn.departureRate = 1.0;  // everyone departs in slot 0
   sim.attachDynamics(topo);
   int intentCalls = 0;
-  sim.step([&](NodeId) { ++intentCalls; return Intent::listen(0); },
+  sim.step(sim.allNodes(), [&](NodeId) { ++intentCalls; return Intent::listen(0); },
            [](NodeId, const Reception&) {});
   EXPECT_EQ(intentCalls, 0);  // dead nodes get no protocol callbacks
   EXPECT_EQ(sim.aliveCount(), 0);
@@ -294,9 +295,11 @@ TEST(Churn, AllNodesDeadIsSafeAndRevivable) {
   revive.churn.departureRate = 1.0;
   revive.churn.arrivalRate = 1.0;
   sim2.attachDynamics(revive);
-  sim2.step([](NodeId) { return Intent::listen(0); }, [](NodeId, const Reception&) {});
+  sim2.step(sim2.allNodes(), [](NodeId) { return Intent::listen(0); },
+            [](NodeId, const Reception&) {});
   EXPECT_EQ(sim2.aliveCount(), 0);
-  sim2.step([](NodeId) { return Intent::listen(0); }, [](NodeId, const Reception&) {});
+  sim2.step(sim2.allNodes(), [](NodeId) { return Intent::listen(0); },
+            [](NodeId, const Reception&) {});
   EXPECT_EQ(sim2.aliveCount(), net.size());
   ASSERT_NE(sim2.dynamics(), nullptr);
   EXPECT_EQ(sim2.dynamics()->stats().departures, static_cast<std::uint64_t>(net.size()));

@@ -327,5 +327,82 @@ TEST(Mutation, CountsThatNoIntegerHoldsFailWithAnError) {
   std::filesystem::remove(path);
 }
 
+TEST(Mutation, ProbeBlobNumbersThatNoIntegerHoldsFailWithAnError) {
+  // The probe blob's sketch buckets, zero counts, series window counters
+  // and span travel as JSON doubles too.  Each edit below plants a value
+  // its integer field cannot hold; probesFromJson must refuse it, and so
+  // must the RESULT and cell-file decoders that carry the blob.
+  const RealCell& real = realCell();
+  const std::string path = testing::TempDir() + "mutation_probes.json";
+  Json body;
+  std::string err;
+  ASSERT_TRUE(Json::parse(real.resultWire.substr(4), body, err)) << err;
+  const Json probes = *body.find("probes");
+  telemetry::ProbeState decoded;
+  ASSERT_TRUE(telemetry::probesFromJson(probes, decoded, err)) << err;
+  ASSERT_FALSE(decoded.empty());
+
+  using Edit = void (*)(Json&);
+  const std::vector<std::pair<const char*, Edit>> edits{
+      {"\"z\": 1e300", [](Json& p) { p.find("margin_db")->set("z", 1e300); }},
+      {"\"z\": -1", [](Json& p) { p.find("far_db")->set("z", -1.0); }},
+      {"bucket index 2^40",
+       [](Json& p) {
+         Json pair = Json::array();
+         pair.push_back(1099511627776.0);
+         pair.push_back(1.0);
+         Json side = Json::array();
+         side.push_back(std::move(pair));
+         p.find("margin_db")->set("pos", std::move(side));
+       }},
+      {"bucket count 2.5",
+       [](Json& p) {
+         Json pair = Json::array();
+         pair.push_back(3.0);
+         pair.push_back(2.5);
+         Json side = Json::array();
+         side.push_back(std::move(pair));
+         p.find("near_db")->set("neg", std::move(side));
+       }},
+      {"window slots 1e300",
+       [](Json& p) { p.find("series")->find("windows")->items().at(0).set("slots", 1e300); }},
+      {"window tx -3",
+       [](Json& p) { p.find("series")->find("windows")->items().at(0).set("tx", -3.0); }},
+      {"window margin z 0.5",
+       [](Json& p) {
+         p.find("series")->find("windows")->items().at(0).find("margin")->set("z", 0.5);
+       }},
+      {"span 2^64", [](Json& p) { p.find("series")->set("span", 18446744073709551616.0); }},
+  };
+  for (const auto& [what, edit] : edits) {
+    Json bad = probes;
+    edit(bad);
+    telemetry::ProbeState out;
+    err.clear();
+    EXPECT_FALSE(telemetry::probesFromJson(bad, out, err)) << what;
+    EXPECT_FALSE(err.empty()) << what;
+
+    Json frameBody = body;
+    frameBody.set("probes", bad);
+    Frame frame;
+    ASSERT_TRUE(decodeFrame(frameBody.dump(), frame, err)) << err;
+    CellOutcome outcome;
+    err.clear();
+    EXPECT_FALSE(outcomeFromFrame(frame, outcome, err)) << what;
+    EXPECT_NE(err.find("probes"), std::string::npos) << err;
+
+    Json cell;
+    ASSERT_TRUE(Json::parse(real.cellFile, cell, err)) << err;
+    cell.set("probes", bad);
+    std::filesystem::remove(path);
+    std::ofstream(path, std::ios::binary) << cell.dump();
+    CellResult loaded;
+    err.clear();
+    EXPECT_FALSE(loadCellResult(path, loaded, err)) << what;
+    EXPECT_NE(err.find("probes"), std::string::npos) << err;
+  }
+  std::filesystem::remove(path);
+}
+
 }  // namespace
 }  // namespace mcs::campaign

@@ -153,11 +153,14 @@ TEST(ProbeSerialization, JsonRoundTripIsLossless) {
     p.series.recordSlot(t, 5, t % 2, 3, sketchOf({static_cast<double>(t % 9)}));
     if (t % 25 == 0) p.series.recordProgress(t, t, 300);
   }
-  const ProbeState back = telemetry::probesFromJson(telemetry::probesToJson(p));
+  ProbeState back;
+  std::string err;
+  ASSERT_TRUE(telemetry::probesFromJson(telemetry::probesToJson(p), back, err)) << err;
   EXPECT_EQ(back, p);
 
-  const ProbeState emptyBack =
-      telemetry::probesFromJson(telemetry::probesToJson(ProbeState()));
+  ProbeState emptyBack;
+  ASSERT_TRUE(telemetry::probesFromJson(telemetry::probesToJson(ProbeState()), emptyBack, err))
+      << err;
   EXPECT_TRUE(emptyBack.empty());
 }
 
@@ -207,7 +210,9 @@ TEST(CausePartition, CausesSumToFailedListens) {
   for (std::size_t v = 0; v < alive.size(); v += 10) alive[v] = 0;
   medium.setAliveMask(alive);
   std::vector<Reception> rx;
-  for (int slot = 0; slot < 6; ++slot) medium.resolveSlot(w.pts, w.intents, rx);
+  for (int slot = 0; slot < 6; ++slot) {
+    medium.resolveSlot(w.pts, w.intents, activeNodes(w.intents), rx);
+  }
 
   const telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
   const std::uint64_t listens = snap.counterOr("medium.listen_intents");
@@ -247,7 +252,7 @@ TEST(CausePartition, DeadListenerTakesPrecedence) {
   std::vector<Intent> intents = {Intent::listen(ChannelId{1}), Intent::listen(ChannelId{1})};
   medium.setAliveMask({0, 1});
   std::vector<Reception> rx;
-  medium.resolveSlot(pts, intents, rx);
+  medium.resolveSlot(pts, intents, activeNodes(intents), rx);
   const telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
   EXPECT_EQ(snap.counterOr("cause.dead_listener"), 1u);
   EXPECT_EQ(snap.counterOr("cause.no_transmitter"), 1u);
@@ -269,7 +274,9 @@ telemetry::MetricsSnapshot runArmed(const ProbeWorkload& w, const SinrParams& pa
   Medium medium(params, channels, threads);
   medium.seedFading(41);
   std::vector<Reception> rx;
-  for (int slot = 0; slot < 5; ++slot) medium.resolveSlot(w.pts, w.intents, rx);
+  for (int slot = 0; slot < 5; ++slot) {
+    medium.resolveSlot(w.pts, w.intents, activeNodes(w.intents), rx);
+  }
   if (probesOut != nullptr) *probesOut = telemetry::snapshotProbes();
   return telemetry::snapshotMetrics();
 }
@@ -336,7 +343,7 @@ TEST(ProbesNeverFeedBack, ArmedRunBitIdenticalToDisarmed) {
     std::vector<Reception> rx;
     std::vector<Reception> all;
     for (int slot = 0; slot < 4; ++slot) {
-      medium.resolveSlot(w.pts, w.intents, rx);
+      medium.resolveSlot(w.pts, w.intents, activeNodes(w.intents), rx);
       all.insert(all.end(), rx.begin(), rx.end());
     }
     return all;

@@ -10,7 +10,8 @@ TEST(Simulator, SlotCounting) {
   Simulator sim(net, 2, 1);
   EXPECT_EQ(sim.slots(), 0u);
   for (int i = 0; i < 5; ++i) {
-    sim.step([](NodeId) { return Intent::idle(); }, [](NodeId, const Reception&) {});
+    sim.step(sim.allNodes(), [](NodeId) { return Intent::idle(); },
+             [](NodeId, const Reception&) {});
   }
   EXPECT_EQ(sim.slots(), 5u);
 }
@@ -19,8 +20,7 @@ TEST(Simulator, ListenersGetCallbacks) {
   Network net({{0, 0}, {0.5, 0}}, SinrParams{});
   Simulator sim(net, 1, 1);
   int callbacks = 0;
-  sim.step(
-      [](NodeId v) {
+  sim.step(sim.allNodes(), [](NodeId v) {
         return v == 0 ? Intent::transmit(0, {}) : Intent::listen(0);
       },
       [&](NodeId v, const Reception& r) {
@@ -47,8 +47,7 @@ TEST(Simulator, SeedDeterminism) {
     Simulator sim(net, 2, seed);
     std::uint64_t decodes = 0;
     for (int t = 0; t < 50; ++t) {
-      sim.step(
-          [&](NodeId v) {
+      sim.step(sim.allNodes(), [&](NodeId v) {
             return sim.rng(v).bernoulli(0.2)
                        ? Intent::transmit(static_cast<ChannelId>(v % 2), {})
                        : Intent::listen(static_cast<ChannelId>(v % 2));
@@ -69,7 +68,8 @@ TEST(Simulator, SafetyCapThrows) {
   EXPECT_THROW(
       {
         for (int i = 0; i < 100; ++i) {
-          sim.step([](NodeId) { return Intent::idle(); }, [](NodeId, const Reception&) {});
+          sim.step(sim.allNodes(), [](NodeId) { return Intent::idle(); },
+                   [](NodeId, const Reception&) {});
         }
       },
       std::runtime_error);
@@ -78,7 +78,8 @@ TEST(Simulator, SafetyCapThrows) {
 TEST(Simulator, MediumStatsExposed) {
   Network net({{0, 0}, {0.5, 0}}, SinrParams{});
   Simulator sim(net, 1, 1);
-  sim.step([](NodeId v) { return v == 0 ? Intent::transmit(0, {}) : Intent::listen(0); },
+  sim.step(sim.allNodes(),
+           [](NodeId v) { return v == 0 ? Intent::transmit(0, {}) : Intent::listen(0); },
            [](NodeId, const Reception&) {});
   EXPECT_EQ(sim.mediumStats().transmissions, 1u);
   EXPECT_EQ(sim.mediumStats().decodes, 1u);

@@ -96,7 +96,7 @@ struct MediumFixture : ::testing::Test {
 
   Reception run(int channels = 1) {
     Medium medium(params, channels);
-    medium.resolveSlot(pos, intents, rx);
+    medium.resolveSlot(pos, intents, activeNodes(intents), rx);
     for (std::size_t i = 0; i < intents.size(); ++i) {
       if (intents[i].action == Action::Listen) return rx[i];
     }
@@ -168,7 +168,7 @@ TEST_F(MediumFixture, TransmittersObserveNothing) {
   pos = {{0, 0}, {0.1, 0}};
   intents = {Intent::transmit(0, {}), Intent::transmit(0, {})};
   Medium medium(params, 1);
-  medium.resolveSlot(pos, intents, rx);
+  medium.resolveSlot(pos, intents, activeNodes(intents), rx);
   EXPECT_FALSE(rx[0].received);
   EXPECT_FALSE(rx[1].received);
   EXPECT_EQ(rx[0].totalPower, 0.0);
@@ -187,7 +187,7 @@ TEST_F(MediumFixture, CarrierSenseSumsAllTransmitters) {
   intents = {Intent::transmit(0, {}), Intent::transmit(0, {}), Intent::transmit(0, {}),
              Intent::listen(0)};
   Medium medium(params, 1);
-  medium.resolveSlot(pos, intents, rx);
+  medium.resolveSlot(pos, intents, activeNodes(intents), rx);
   EXPECT_NEAR(rx[3].totalPower, 3.0 * params.rxPower(0.4), 1e-12);
 }
 
@@ -195,8 +195,8 @@ TEST_F(MediumFixture, StatsAccumulate) {
   pos = {{0, 0}, {0.5, 0}};
   intents = {Intent::transmit(0, {}), Intent::listen(0)};
   Medium medium(params, 1);
-  medium.resolveSlot(pos, intents, rx);
-  medium.resolveSlot(pos, intents, rx);
+  medium.resolveSlot(pos, intents, activeNodes(intents), rx);
+  medium.resolveSlot(pos, intents, activeNodes(intents), rx);
   EXPECT_EQ(medium.stats().slots, 2u);
   EXPECT_EQ(medium.stats().transmissions, 2u);
   EXPECT_EQ(medium.stats().listens, 2u);
@@ -223,7 +223,7 @@ TEST_P(MediumSinrSweep, DecodeMatchesFormula) {
       std::vector<Intent> intents{Intent::transmit(0, {}), Intent::transmit(0, {}),
                                   Intent::listen(0)};
       std::vector<Reception> rx;
-      medium.resolveSlot(pos, intents, rx);
+      medium.resolveSlot(pos, intents, activeNodes(intents), rx);
       const double s1 = p.rxPower(d1), s2 = p.rxPower(d2);
       const double best = std::max(s1, s2);
       const double other = std::min(s1, s2);

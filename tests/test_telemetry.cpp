@@ -138,7 +138,9 @@ TEST(TelemetryDeterminism, MediumCountersThreadCountInvariant) {
     const TelemetryGuard guard;
     Medium medium(params, 2, threads);
     std::vector<Reception> rx;
-    for (int slot = 0; slot < 5; ++slot) medium.resolveSlot(w.pts, w.intents, rx);
+    for (int slot = 0; slot < 5; ++slot) {
+      medium.resolveSlot(w.pts, w.intents, activeNodes(w.intents), rx);
+    }
     return telemetry::snapshotMetrics();
   };
   const telemetry::MetricsSnapshot one = countersWithThreads(1);
@@ -207,7 +209,7 @@ TEST(TelemetryDeterminism, EnabledRunBitIdenticalToDisabled) {
     std::vector<Reception> rx;
     std::vector<Reception> all;
     for (int slot = 0; slot < 4; ++slot) {
-      medium.resolveSlot(w.pts, w.intents, rx);
+      medium.resolveSlot(w.pts, w.intents, activeNodes(w.intents), rx);
       all.insert(all.end(), rx.begin(), rx.end());
     }
     return all;
@@ -258,6 +260,43 @@ TEST(TelemetryDeterminism, ArmedDynamicsRunMatchesDisarmed) {
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(advance->count, on.slots);
   EXPECT_EQ(sample->count, on.slots / 8 + 2);  // set-up, every 8th slot, final
+  const telemetry::TimerSample* collect = s.findTimer("sim.collect_intents");
+  ASSERT_NE(collect, nullptr);
+  EXPECT_EQ(collect->count, on.slots);
+}
+
+/// The Simulator's own phases are write-only too, and its work counter
+/// shows the candidate lists at work: a TDMA-scheduled static run visits
+/// far fewer intents than n per slot.
+TEST(TelemetryDeterminism, ArmedSimulatorPhasesMatchDisarmed) {
+  ScenarioSpec spec;
+  std::string err;
+  for (const auto& [key, value] :
+       {std::pair{"n", "300"}, std::pair{"channels", "4"}, std::pair{"protocol", "agg_max"}}) {
+    ASSERT_TRUE(applyScenarioKey(spec, key, value, err)) << err;
+  }
+  ASSERT_EQ(validateScenario(spec), "");
+  const SeedResult off = [&] {
+    const TelemetryGuard guard(false);
+    return runScenarioSeed(spec, 3);
+  }();
+  const TelemetryGuard guard;
+  const SeedResult on = runScenarioSeed(spec, 3);
+  ASSERT_TRUE(off.error.empty()) << off.error;
+  EXPECT_EQ(off.slots, on.slots);
+  EXPECT_EQ(off.decodes, on.decodes);
+  EXPECT_EQ(off.metrics, on.metrics);
+
+  const telemetry::MetricsSnapshot s = telemetry::snapshotMetrics();
+  const telemetry::TimerSample* collect = s.findTimer("sim.collect_intents");
+  const telemetry::TimerSample* deliver = s.findTimer("sim.deliver");
+  ASSERT_NE(collect, nullptr);
+  ASSERT_NE(deliver, nullptr);
+  EXPECT_EQ(collect->count, on.slots);
+  EXPECT_EQ(deliver->count, on.slots);
+  const std::uint64_t evaluated = s.counterOr("sim.intents_evaluated");
+  EXPECT_GT(evaluated, 0u);
+  EXPECT_LT(evaluated, on.slots * 300 / 2);
 }
 
 // ------------------------------------------------------------------ trace
@@ -320,7 +359,8 @@ TEST(TelemetryTrace, SimulatorEmitsSlotSpans) {
   Network net = test::makeUniformNetwork(60, 1.0, 5);
   Simulator sim(net, 2, 5);
   for (int i = 0; i < 3; ++i) {
-    sim.step([](NodeId) { return Intent::listen(0); }, [](NodeId, const Reception&) {});
+    sim.step(sim.allNodes(), [](NodeId) { return Intent::listen(0); },
+             [](NodeId, const Reception&) {});
   }
   const Json j = telemetry::traceToJson();
   const Json* events = j.find("traceEvents");
