@@ -1,5 +1,6 @@
 // scenario_runner: execute a declarative scenario across a seed batch.
 //
+//   scenario_runner --help
 //   scenario_runner --list
 //   scenario_runner --scenario=<preset> [--seeds=K] [--seed0=S] [overrides]
 //   scenario_runner --file=spec.txt [overrides]
@@ -32,8 +33,29 @@
 using namespace mcs;
 using namespace mcs::bench;
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: scenario_runner --list\n"
+    "       scenario_runner --scenario=<preset> [--seeds=K] [--seed0=S] [overrides]\n"
+    "       scenario_runner --file=spec.txt [overrides]\n"
+    "       scenario_runner --scenario=<preset> [overrides] --print-spec\n"
+    "\n"
+    "Spec resolution: preset (--scenario), then scenario file (--file), then any\n"
+    "other --key=value flag as a spec override (see scenario/spec.h for the keys).\n"
+    "Runner flags: --threads=N (batch lanes), --out-dir=DIR (report directory),\n"
+    "--csv=PATH (per-seed CSV), --print-spec (print the resolved spec and exit),\n"
+    "--metrics, --probes, --trace-out=PATH.\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+
+  if (args.has("help")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
 
   if (args.getBool("list")) {
     for (const ScenarioPresetInfo& info : ScenarioRegistry::list()) {

@@ -64,8 +64,15 @@ done
 # --- Huge-tier smoke ---------------------------------------------------------
 # One seed, two ruling-set rounds: enough to prove the hierarchical medium
 # resolves million-node slots end-to-end without paying a full election.
-./bench/scenario_runner --scenario=huge_hier --seeds=1 --ruling_rounds=2 \
-  --out-dir=bench-artifacts
+# It runs under a 600 MB address-space cap: a million-node seed needs
+# about 260 MB at peak, while an index sized by the field's bounding box
+# instead of the node count (the ruling-set audit's former grid: 69M
+# cells) needs 1.3 GB and fails here.
+(
+  ulimit -v 614400
+  ./bench/scenario_runner --scenario=huge_hier --seeds=1 --ruling_rounds=2 \
+    --out-dir=bench-artifacts
+) || { echo "FAIL: huge-tier smoke (600 MB address-space cap)"; exit 1; }
 
 # --- Telemetry smoke ---------------------------------------------------------
 # One preset with --metrics + --trace-out: the BENCH json must grow a

@@ -1,6 +1,7 @@
 #include "geom/deployment.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -144,8 +145,49 @@ std::vector<Vec2> deployDenseSparseMixture(int n, double side, double denseFrac,
   return pts;
 }
 
+namespace {
+
+// Bits of a coordinate with -0.0 folded into +0.0 (x + 0.0 does that under
+// round-to-nearest), so bit equality is Vec2's == for every non-NaN value.
+std::uint64_t coordBits(double x) noexcept { return std::bit_cast<std::uint64_t>(x + 0.0); }
+
+// False only when no two points compare equal: an open-addressing set of
+// coordinate bit pairs, O(n).  Bit-identical NaNs also report true, which
+// just sends the caller down the exact sort path.
+bool mayHaveDuplicates(const std::vector<Vec2>& points) {
+  std::size_t cap = 16;
+  while (cap < 2 * points.size()) cap <<= 1;
+  constexpr std::uint32_t kEmpty = 0xffffffffu;
+  std::vector<std::uint32_t> slots(cap, kEmpty);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::uint64_t bx = coordBits(points[i].x);
+    const std::uint64_t by = coordBits(points[i].y);
+    // murmur3's 64-bit finalizer over both coordinates.
+    std::uint64_t h = bx ^ (by * 0x9e3779b97f4a7c15ULL);
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    for (std::size_t s = h & (cap - 1);; s = (s + 1) & (cap - 1)) {
+      if (slots[s] == kEmpty) {
+        slots[s] = static_cast<std::uint32_t>(i);
+        break;
+      }
+      const Vec2 q = points[slots[s]];
+      if (coordBits(q.x) == bx && coordBits(q.y) == by) return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 std::vector<Vec2> dedupePositions(std::vector<Vec2> points, double epsilon, Rng& rng) {
   assert(epsilon > 0.0);
+  // Deployments almost never repeat a point: then the sort below would
+  // find no run and draw nothing, so the points are returned as they are.
+  if (!mayHaveDuplicates(points)) return points;
   // Sort indices by the ORIGINAL coordinates so whole runs of duplicates
   // are detected even as earlier members of the run get perturbed.
   const std::vector<Vec2> original = points;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -241,26 +242,42 @@ RulingSetAudit auditRulingSet(const Network& net, const std::vector<char>& parti
   audit.members = static_cast<int>(members.size());
   if (members.empty()) return audit;
 
-  // Grid-accelerated ball counting: the former all-pairs scan was
+  // Grid-accelerated pair counting: the former all-pairs scan was
   // O(members^2), which a self-elected million-node set turns into 10^12
-  // distance evaluations.  The grid gathers each member's candidates in
-  // O(ball occupancy); the decision predicate stays the literal
+  // distance evaluations.  Cells are at least `radius` wide, and wide
+  // enough that the grid has O(members) cells however sparse the set is
+  // in its bounding box (cells of side `radius` over a 1000 x 1000 field
+  // would be 69M cells for 10^6 members).  Each pair within the gather
+  // radius is visited once; the decision predicate stays the literal
   // net.distance(u, v) <= radius of the all-pairs version (the slightly
-  // inflated query radius only protects candidate gathering from the
+  // inflated gather radius only protects candidate gathering from the
   // squared-distance rounding at the boundary), so every count is
   // identical.
-  const GridIndex memberGrid(memberPos, std::max(radius, 1e-12));
-  const double gatherRadius = radius * (1.0 + 1e-12);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    int inBall = 0;
-    memberGrid.forEachInBall(memberPos[i], gatherRadius, [&](NodeId j) {
-      if (net.distance(members[i], members[static_cast<std::size_t>(j)]) <= radius) {
-        ++inBall;
-        if (static_cast<std::size_t>(j) > i) ++audit.independenceViolations;
-      }
-    });
-    audit.maxDensity = std::max(audit.maxDensity, inBall);
+  double minX = memberPos[0].x, maxX = minX, minY = memberPos[0].y, maxY = minY;
+  for (const Vec2& p : memberPos) {
+    minX = std::min(minX, p.x);
+    maxX = std::max(maxX, p.x);
+    minY = std::min(minY, p.y);
+    maxY = std::max(maxY, p.y);
   }
+  // (w/c + 1)(h/c + 1) = wh/c^2 + (w + h)/c + 1 cells: each of the first
+  // two terms is at most m once c >= sqrt(wh/m) and c >= (w + h)/m.
+  const double m = static_cast<double>(members.size());
+  const double w = maxX - minX, h = maxY - minY;
+  const double cell = std::max({radius, 1e-12, std::sqrt(w * h / m), (w + h) / m});
+  const GridIndex memberGrid(memberPos, cell);
+  // Every member is in its own ball (d = 0); the pairs add one to each side.
+  std::vector<int> inBall(members.size(), 0.0 <= radius ? 1 : 0);
+  memberGrid.forEachPairWithin(radius * (1.0 + 1e-12), [&](NodeId a, NodeId b, double) {
+    const auto ai = static_cast<std::size_t>(a);
+    const auto bi = static_cast<std::size_t>(b);
+    if (net.distance(members[ai], members[bi]) <= radius) {
+      ++inBall[ai];
+      ++inBall[bi];
+      ++audit.independenceViolations;
+    }
+  });
+  audit.maxDensity = *std::max_element(inBall.begin(), inBall.end());
   return audit;
 }
 

@@ -84,12 +84,14 @@ class Simulator {
       }
       telemetry::counterAdd(tm.intentsEvaluated, candidates.size());
     }
-    medium_.resolveSlot(positions(), intents_, active_, receptions_);
+    // A slot nobody transmits in writes no per-listener Reception: every
+    // listener hears the same silence.
+    const bool swept = medium_.resolveSlotUnlessSilent(positions(), intents_, active_, receptions_);
     {
       const telemetry::PhaseTimer t(tm.deliver);
       for (const NodeId v : active_) {
         if (intents_[static_cast<std::size_t>(v)].action == Action::Listen) {
-          onReception(v, receptions_[static_cast<std::size_t>(v)]);
+          onReception(v, swept ? receptions_[static_cast<std::size_t>(v)] : kSilence);
         }
       }
     }
@@ -165,6 +167,8 @@ class Simulator {
     return ids;
   }
   [[noreturn]] static void candidateOrderFailure(NodeId prev, NodeId v, NodeId n);
+  /// What every listener of a slot without transmitters hears.
+  static inline const Reception kSilence{};
 
   std::vector<NodeId> allNodes_;
   /// Node-indexed intents.  Only the entries of active_ are this slot's;
@@ -172,7 +176,8 @@ class Simulator {
   std::vector<Intent> intents_;
   /// This slot's non-Idle nodes, ascending (what the Medium populates from).
   std::vector<NodeId> active_;
-  /// Node-indexed; only listener entries are written each slot.
+  /// Node-indexed; only listener entries are written, and only in slots
+  /// with a transmitter.
   std::vector<Reception> receptions_;
   std::unique_ptr<TopologyDynamics> dyn_;
   std::vector<Vec2> positions_;  ///< Mutable copy, populated iff dynamic.

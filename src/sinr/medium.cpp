@@ -193,6 +193,18 @@ void Medium::buildFieldsDynamic(std::span<const Vec2> positions, bool buildHier)
 
 void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent> intents,
                          std::span<const NodeId> active, std::vector<Reception>& out) {
+  if (resolveSlotUnlessSilent(positions, intents, active, out)) return;
+  for (const NodeId v : active) {
+    if (intents[static_cast<std::size_t>(v)].action == Action::Listen) {
+      out[static_cast<std::size_t>(v)] = Reception{};
+    }
+  }
+}
+
+bool Medium::resolveSlotUnlessSilent(std::span<const Vec2> positions,
+                                     std::span<const Intent> intents,
+                                     std::span<const NodeId> active,
+                                     std::vector<Reception>& out) {
   const std::size_t n = positions.size();
   assert(intents.size() == n);
   const telemetry::PhaseTimer resolveTimer(mediumTm().resolve);
@@ -202,28 +214,31 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
   // Stage the slot in the SoA workspace: channel-bucketed transmitter
   // ids/coordinates (counting sort) plus the listener list.  populate
   // also validates the active order and every intent's channel with
-  // Release-armed checks.
+  // Release-armed checks.  A silent slot needs its listener list only
+  // for the probes' dead-listener tally.
+  const bool probesArmed = telemetry::probesEnabled();
   std::size_t txTotal;
   {
     const telemetry::PhaseTimer t(mediumTm().populate);
-    txTotal = ws_.populate(positions, intents, active, numChannels_);
+    txTotal = ws_.populate(positions, intents, active, numChannels_, probesArmed);
   }
+  const std::size_t listenerCount = ws_.listenerCount;
   stats_.transmissions += txTotal;
-  stats_.listens += ws_.listeners.size();
+  stats_.listens += listenerCount;
   if (telemetry::enabled()) {
     telemetry::counterAdd(mediumTm().slots);
     telemetry::counterAdd(mediumTm().txIntents, txTotal);
-    telemetry::counterAdd(mediumTm().listenIntents, ws_.listeners.size());
+    telemetry::counterAdd(mediumTm().listenIntents, listenerCount);
   }
-  if (ws_.listeners.empty()) {
-    if (telemetry::probesEnabled()) {
+  if (listenerCount == 0) {
+    if (probesArmed) {
       // Listener-free slots still tick the series so the active-transmitter
       // trace covers every resolved slot, not just contended ones.
       probeSample_.clear();
       probeSample_.txIntents = txTotal;
       telemetry::probeSlot(stats_.slots - 1, probeSample_);
     }
-    return;
+    return true;
   }
 
   const MediumMode mode = params_.mediumMode;
@@ -235,8 +250,28 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
                     "scale (BENCH_medium.json: 0.96x the exact kernel at n=500/8ch); "
                     "prefer medium_mode=nearfar below the crossover");
   }
+  if (txTotal == 0) {
+    // Silent slot: every listener's channel is silent, so each would get
+    // Reception{} and fail with no transmitter (or as a dead listener).
+    // The fading ordinal still advances, as in a swept slot, so later
+    // slots draw the same gains either way.
+    ++fadingSlot_;
+    if (probesArmed) {
+      std::uint64_t dead = 0;
+      for (const NodeId v : ws_.listeners) {
+        const auto vi = static_cast<std::size_t>(v);
+        if (vi < aliveMask_.size() && aliveMask_[vi] == 0) ++dead;
+      }
+      telemetry::counterAdd(mediumTm().causeNoTransmitter, listenerCount - dead);
+      telemetry::counterAdd(mediumTm().causeDeadListener, dead);
+      probeSample_.clear();
+      probeSample_.listens = listenerCount;
+      telemetry::probeSlot(stats_.slots - 1, probeSample_);
+    }
+    return false;
+  }
   const bool gridded = mode != MediumMode::Exact;
-  if (gridded && txTotal > 0) {
+  if (gridded) {
     const telemetry::PhaseTimer t(mediumTm().buildFields);
     const bool buildHier = mode == MediumMode::Hierarchical;
     if (dynamicPositions_) {
@@ -266,7 +301,6 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
   // failed listen into exactly one cause and sketch SINR margins, through
   // a separate compile-time instantiation of the sweep below — the
   // disarmed hot path keeps its exact instruction stream.
-  const bool probesArmed = telemetry::probesEnabled();
   const std::uint8_t* aliveMask = aliveMask_.empty() ? nullptr : aliveMask_.data();
   const std::size_t aliveMaskSize = aliveMask_.size();
   std::optional<ProbeTally> probes;
@@ -659,6 +693,7 @@ void Medium::resolveSlot(std::span<const Vec2> positions, std::span<const Intent
       if (adm > 0) telemetry::counterAdd(hierLevelCounter(k), adm);
     }
   }
+  return true;
 }
 
 }  // namespace mcs

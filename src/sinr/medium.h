@@ -126,6 +126,18 @@ class Medium {
   void resolveSlot(std::span<const Vec2> positions, std::span<const Intent> intents,
                    std::span<const NodeId> active, std::vector<Reception>& out);
 
+  /// resolveSlot without the O(listeners) writes of a silent slot: when
+  /// the slot has listeners but nothing transmits, returns false and
+  /// leaves `out` unwritten; every listener then hears Reception{}, and
+  /// the caller delivers that instead.  Every other effect of the slot
+  /// (stats, telemetry and probe tallies, the fading slot ordinal) is
+  /// resolveSlot's.  Returns true when `out` holds every listener's
+  /// reception.
+  [[nodiscard]] bool resolveSlotUnlessSilent(std::span<const Vec2> positions,
+                                             std::span<const Intent> intents,
+                                             std::span<const NodeId> active,
+                                             std::vector<Reception>& out);
+
   [[nodiscard]] const SinrParams& params() const noexcept { return params_; }
   [[nodiscard]] int numChannels() const noexcept { return numChannels_; }
   [[nodiscard]] int numThreads() const noexcept { return pool_ ? pool_->threads() : 1; }

@@ -28,10 +28,12 @@ namespace {
 
 std::size_t MediumWorkspace::populate(std::span<const Vec2> positions,
                                       std::span<const Intent> intents,
-                                      std::span<const NodeId> active, int numChannels) {
+                                      std::span<const NodeId> active, int numChannels,
+                                      bool listenersIfSilent) {
   const std::size_t n = positions.size();
   chanStart.assign(static_cast<std::size_t>(numChannels) + 1, 0);
   listeners.clear();
+  listenerCount = 0;
   std::size_t txTotal = 0;
   NodeId prev = -1;
   for (const NodeId v : active) {
@@ -46,7 +48,7 @@ std::size_t MediumWorkspace::populate(std::span<const Vec2> positions,
       ++chanStart[static_cast<std::size_t>(it.channel) + 1];
       ++txTotal;
     } else {
-      listeners.push_back(v);
+      ++listenerCount;
     }
   }
   for (int c = 0; c < numChannels; ++c) {
@@ -56,14 +58,19 @@ std::size_t MediumWorkspace::populate(std::span<const Vec2> positions,
   txIds.resize(txTotal);
   txX.resize(txTotal);
   txY.resize(txTotal);
+  if (txTotal == 0 && !listenersIfSilent) return 0;
   cursor_.assign(chanStart.begin(), chanStart.end() - 1);
   for (const NodeId v : active) {
     const Intent& it = intents[static_cast<std::size_t>(v)];
-    if (it.action != Action::Transmit) continue;
-    const auto slot = static_cast<std::size_t>(cursor_[static_cast<std::size_t>(it.channel)]++);
-    txIds[slot] = v;
-    txX[slot] = positions[static_cast<std::size_t>(v)].x;
-    txY[slot] = positions[static_cast<std::size_t>(v)].y;
+    if (it.action == Action::Listen) {
+      listeners.push_back(v);
+    } else if (it.action == Action::Transmit) {
+      const auto slot =
+          static_cast<std::size_t>(cursor_[static_cast<std::size_t>(it.channel)]++);
+      txIds[slot] = v;
+      txX[slot] = positions[static_cast<std::size_t>(v)].x;
+      txY[slot] = positions[static_cast<std::size_t>(v)].y;
+    }
   }
   return txTotal;
 }

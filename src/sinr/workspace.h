@@ -28,6 +28,9 @@ struct MediumWorkspace {
   std::vector<double> txX;
   std::vector<double> txY;
   std::vector<NodeId> listeners;
+  /// This slot's listener count; equals listeners.size() whenever the
+  /// list was built.
+  std::size_t listenerCount = 0;
 
   /// Rebuilds every buffer from this slot's active nodes (counting sort
   /// by channel): one count pass and one fill pass over `active`, never
@@ -37,9 +40,13 @@ struct MediumWorkspace {
   /// are checked with aborts that stay armed in Release builds: an
   /// out-of-range channel would otherwise index out of bounds with
   /// asserts compiled out, and an unsorted list would silently reorder
-  /// the Exact-mode summation.  Returns the transmitter count.
+  /// the Exact-mode summation.  A slot in which nothing transmits stops
+  /// after the count pass unless `listenersIfSilent`: its `listeners`
+  /// list is then left empty and only listenerCount holds.  Returns the
+  /// transmitter count.
   std::size_t populate(std::span<const Vec2> positions, std::span<const Intent> intents,
-                       std::span<const NodeId> active, int numChannels);
+                       std::span<const NodeId> active, int numChannels,
+                       bool listenersIfSilent);
 
   [[nodiscard]] std::int32_t bucketBegin(ChannelId c) const noexcept {
     return chanStart[static_cast<std::size_t>(c)];

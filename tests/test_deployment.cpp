@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "geom/deployment.h"
 
@@ -194,6 +196,75 @@ TEST(Deployment, DedupeLeavesDistinctPointsUntouched) {
   Rng rng(14);
   const auto out = dedupePositions(pts, 1e-9, rng);
   expectIdentical(out, pts);
+}
+
+/// dedupePositions before its O(n) duplicate pre-check: the index sort on
+/// every input.  The fast path must reproduce it bit for bit, draws included.
+std::vector<Vec2> sortOnlyDedupe(std::vector<Vec2> points, double epsilon, Rng& rng) {
+  const std::vector<Vec2> original = points;
+  std::vector<std::size_t> order(points.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (original[a].x != original[b].x) return original[a].x < original[b].x;
+    return original[a].y < original[b].y;
+  });
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    if (original[order[i]] == original[order[i - 1]]) {
+      const double theta = rng.uniform(0.0, 2.0 * M_PI);
+      const double r = epsilon * (1.0 + 0.5 * rng.uniform());
+      points[order[i]].x += r * std::cos(theta);
+      points[order[i]].y += r * std::sin(theta);
+    }
+  }
+  return points;
+}
+
+void expectDedupeMatchesSortOnly(const std::vector<Vec2>& pts, std::uint64_t seed) {
+  Rng fastRng(seed);
+  Rng refRng(seed);
+  const std::vector<Vec2> got = dedupePositions(pts, 1e-7, fastRng);
+  const std::vector<Vec2> want = sortOnlyDedupe(pts, 1e-7, refRng);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].x), std::bit_cast<std::uint64_t>(want[i].x))
+        << "point " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].y), std::bit_cast<std::uint64_t>(want[i].y))
+        << "point " << i;
+  }
+  // Same number of draws: the streams continue identically.
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(fastRng(), refRng());
+}
+
+TEST(Deployment, DedupeMatchesSortOnlyWithoutDuplicates) {
+  Rng rng(31);
+  expectDedupeMatchesSortOnly(deployUniformSquare(5000, 3.0, rng), 32);
+  expectDedupeMatchesSortOnly(deployPerturbedGrid(400, 2.0, 0.0, rng), 33);
+  expectDedupeMatchesSortOnly({}, 34);
+}
+
+TEST(Deployment, DedupeMatchesSortOnlyWithDuplicateRuns) {
+  Rng rng(35);
+  std::vector<Vec2> pts = deployUniformSquare(3000, 3.0, rng);
+  // Runs of 2..5 copies scattered through the vector.
+  for (std::size_t i = 0; i < 200; ++i) {
+    const Vec2 p = pts[rng.below(pts.size())];
+    const std::size_t copies = 1 + i % 4;
+    for (std::size_t c = 0; c < copies; ++c) pts[rng.below(pts.size())] = p;
+  }
+  expectDedupeMatchesSortOnly(pts, 36);
+}
+
+// -0.0 == +0.0 under Vec2's ==, so these are duplicates to the sort; the
+// pre-check must agree, in either coordinate.
+TEST(Deployment, DedupeMatchesSortOnlyOnSignedZeros) {
+  expectDedupeMatchesSortOnly({{0.0, 1.0}, {0.5, 0.5}, {-0.0, 1.0}}, 37);
+  expectDedupeMatchesSortOnly({{2.0, -0.0}, {2.0, 0.0}, {1.0, 1.0}}, 38);
+  expectDedupeMatchesSortOnly({{-0.0, -0.0}, {0.0, 0.0}, {0.0, -0.0}, {1.0, 0.0}}, 39);
+  Rng probe(37);
+  Rng untouched(37);
+  const auto out = dedupePositions({{0.0, 1.0}, {-0.0, 1.0}}, 1e-7, probe);
+  EXPECT_NE(out[0], out[1]);
+  EXPECT_NE(probe(), untouched());  // the duplicate drew
 }
 
 }  // namespace

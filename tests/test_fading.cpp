@@ -173,6 +173,40 @@ TEST(FadingMedium, DisabledFadingMatchesBaselineBitwise) {
   EXPECT_TRUE(a == b);
 }
 
+// Fading gains are keyed by the slot ordinal, which a slot with listeners
+// but no transmitter must advance exactly as a swept slot does: after two
+// silent slots, a transmitting slot draws what it draws after two swept
+// ones, and not what it draws as the first slot.
+TEST(FadingMedium, SilentSlotsAdvanceTheFadingOrdinal) {
+  SinrParams params;
+  params.fading.model = FadingModel::Rayleigh;
+  const std::vector<Vec2> pts{{0.0, 0.0}, {0.4, 0.0}, {5.0, 5.0}, {5.3, 5.0}};
+  // Node 0 transmits to node 1 on channel 0; nodes 2 and 3 are elsewhere.
+  const std::vector<Intent> hit{Intent::transmit(0, {}), Intent::listen(0), Intent::idle(),
+                                Intent::idle()};
+  const std::vector<Intent> silent{Intent::idle(), Intent::listen(0), Intent::listen(1),
+                                   Intent::idle()};
+  const std::vector<Intent> swept{Intent::idle(), Intent::idle(), Intent::transmit(1, {}),
+                                  Intent::listen(1)};
+  const auto lastReception = [&](const std::vector<const std::vector<Intent>*>& slots) {
+    Medium medium(params, 2);
+    medium.seedFading(4242);
+    std::vector<Reception> rx;
+    for (const std::vector<Intent>* intents : slots) {
+      medium.resolveSlot(pts, *intents, activeNodes(*intents), rx);
+    }
+    return rx[1];
+  };
+  const Reception afterSilent = lastReception({&silent, &silent, &hit});
+  const Reception afterSwept = lastReception({&swept, &swept, &hit});
+  const Reception first = lastReception({&hit});
+  ASSERT_TRUE(afterSwept.received);
+  EXPECT_EQ(afterSilent.received, afterSwept.received);
+  EXPECT_EQ(afterSilent.signalPower, afterSwept.signalPower);
+  EXPECT_EQ(afterSilent.totalPower, afterSwept.totalPower);
+  EXPECT_NE(first.signalPower, afterSwept.signalPower);
+}
+
 TEST(FadingMedium, ResetStatsDoesNotRewindTheFadingSequence) {
   // A warmup/measure split (resetStats between phases) must keep drawing
   // fresh gains, not replay the consumed prefix.

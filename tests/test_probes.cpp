@@ -258,6 +258,71 @@ TEST(CausePartition, DeadListenerTakesPrecedence) {
   EXPECT_EQ(snap.counterOr("cause.no_transmitter"), 1u);
 }
 
+/// A slot with listeners but no transmitter writes no per-listener
+/// Reception, yet every listen still lands in exactly one cause: dead
+/// listeners as dead_listener, the rest as no_transmitter.  The series
+/// and the Simulator's delivery see the same slots.
+TEST(CausePartition, SilentSlotsStillPartitionEveryListen) {
+  const ProbesGuard guard;
+  Rng rng(19);
+  const std::vector<Vec2> pts = deployUniformSquare(300, 1.2, rng);
+  std::vector<Intent> intents(pts.size());
+  for (std::size_t v = 0; v < pts.size(); ++v) {
+    intents[v] = v % 4 == 3 ? Intent::idle() : Intent::listen(static_cast<ChannelId>(v % 2));
+  }
+  std::vector<std::uint8_t> alive(pts.size(), 1);
+  std::uint64_t deadListeners = 0;
+  for (std::size_t v = 0; v < pts.size(); v += 7) {
+    alive[v] = 0;
+    deadListeners += intents[v].action == Action::Listen;
+  }
+  Medium medium(SinrParams{}, 2, 2);
+  medium.setAliveMask(alive);
+  std::vector<Reception> rx(pts.size());
+  for (Reception& r : rx) r.totalPower = 1.0;  // resolveSlot must reset these
+  for (int slot = 0; slot < 3; ++slot) {
+    medium.resolveSlot(pts, intents, activeNodes(intents), rx);
+  }
+  for (std::size_t v = 0; v < pts.size(); ++v) {
+    if (intents[v].action != Action::Listen) continue;
+    EXPECT_FALSE(rx[v].received);
+    EXPECT_EQ(rx[v].totalPower, 0.0) << v;
+  }
+
+  const telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
+  const std::uint64_t listens = snap.counterOr("medium.listen_intents");
+  ASSERT_EQ(listens, 3u * 225u);
+  EXPECT_EQ(snap.counterOr("medium.decodes"), 0u);
+  EXPECT_EQ(snap.counterOr("cause.no_transmitter") + snap.counterOr("cause.dead_listener"),
+            listens);
+  EXPECT_EQ(snap.counterOr("cause.dead_listener"), 3u * deadListeners);
+  const ProbeState probes = telemetry::snapshotProbes();
+  std::uint64_t seriesListens = 0, seriesSlots = 0;
+  for (const SlotSeries::Window& win : probes.series.windows()) {
+    seriesListens += win.listens;
+    seriesSlots += win.slots;
+  }
+  EXPECT_EQ(seriesListens, listens);
+  EXPECT_EQ(seriesSlots, 3u);
+
+  // Through the Simulator: every listener is called back with Reception{}.
+  telemetry::resetMetrics();
+  const Network net(pts, SinrParams{});
+  Simulator sim(net, 2, 5);
+  std::uint64_t callbacks = 0;
+  sim.step(
+      sim.allNodes(), [&](NodeId v) { return intents[static_cast<std::size_t>(v)]; },
+      [&](NodeId, const Reception& r) {
+        ++callbacks;
+        EXPECT_FALSE(r.received);
+        EXPECT_EQ(r.totalPower, 0.0);
+      });
+  EXPECT_EQ(callbacks, 225u);
+  const telemetry::MetricsSnapshot simSnap = telemetry::snapshotMetrics();
+  EXPECT_EQ(simSnap.counterOr("cause.no_transmitter"), 225u);
+  EXPECT_EQ(simSnap.counterOr("medium.listen_intents"), 225u);
+}
+
 // ------------------------------------------------------------ determinism
 
 std::vector<telemetry::CounterSample> causeCounters(const telemetry::MetricsSnapshot& snap) {

@@ -161,5 +161,109 @@ TEST(RulingSet, SlotsMatchThreePerRound) {
   EXPECT_GT(rs.slotsUsed, 0u);
 }
 
+// ------------------------------------------------------------------ audit
+
+/// The O(m^2) audit auditRulingSet replaced: every member against every
+/// member with the literal distance predicate.
+RulingSetAudit bruteForceAudit(const Network& net, const std::vector<char>& participants,
+                               const RulingSetResult& rs, double radius) {
+  RulingSetAudit audit;
+  std::vector<NodeId> members;
+  for (NodeId v = 0; v < net.size(); ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    if (!participants[vi]) continue;
+    if (rs.inSet[vi]) {
+      members.push_back(v);
+    } else if (rs.dominator[vi] == kNoNode ||
+               net.distance(v, rs.dominator[vi]) > 2.0 * radius) {
+      ++audit.unbound;
+    }
+  }
+  audit.members = static_cast<int>(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    int inBall = 0;
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      if (net.distance(members[i], members[j]) <= radius) {
+        ++inBall;
+        if (j > i) ++audit.independenceViolations;
+      }
+    }
+    audit.maxDensity = std::max(audit.maxDensity, inBall);
+  }
+  return audit;
+}
+
+/// Every third node sits out; of the participants, about 70% are members
+/// and the rest are bound to a random member (near or far, so `unbound`
+/// counts both kinds) or to nobody.
+void expectAuditMatchesBruteForce(std::vector<Vec2> pts, double radius, std::uint64_t seed) {
+  const Network net(std::move(pts), SinrParams{});
+  const auto n = static_cast<std::size_t>(net.size());
+  Rng rng(seed);
+  std::vector<char> participants(n, 0);
+  RulingSetResult rs;
+  rs.inSet.assign(n, 0);
+  rs.dominator.assign(n, kNoNode);
+  std::vector<NodeId> members;
+  for (std::size_t v = 0; v < n; ++v) {
+    participants[v] = v % 3 != 2;
+    if (participants[v] && rng.bernoulli(0.7)) {
+      rs.inSet[v] = 1;
+      members.push_back(static_cast<NodeId>(v));
+    }
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!participants[v] || rs.inSet[v] || members.empty() || rng.bernoulli(0.1)) continue;
+    rs.dominator[v] = members[rng.below(members.size())];
+  }
+  const RulingSetAudit want = bruteForceAudit(net, participants, rs, radius);
+  const RulingSetAudit got = auditRulingSet(net, participants, rs, radius);
+  EXPECT_EQ(got.members, want.members);
+  EXPECT_EQ(got.independenceViolations, want.independenceViolations);
+  EXPECT_EQ(got.unbound, want.unbound);
+  EXPECT_EQ(got.maxDensity, want.maxDensity);
+  // Each set must exercise the counts it is here for.
+  EXPECT_GT(want.members, 0);
+  EXPECT_GT(want.independenceViolations, 0);
+  EXPECT_GT(want.maxDensity, 1);
+}
+
+// A few hundred members over a 1000 x 1000 field: the member grid's cells
+// are sized by the member count (~50 wide), not by the 0.5 radius.  Every
+// tenth point gets a partner within the radius so there are pairs to find.
+TEST(RulingSetAudit, SparseWideFieldMatchesBruteForce) {
+  Rng rng(21);
+  std::vector<Vec2> pts = deployUniformSquare(600, 1000.0, rng);
+  for (std::size_t i = 0; i < 600; i += 10) {
+    pts.push_back({pts[i].x + rng.uniform(-0.3, 0.3), pts[i].y + rng.uniform(-0.3, 0.3)});
+  }
+  expectAuditMatchesBruteForce(std::move(pts), 0.5, 22);
+}
+
+// Many members per radius-ball: high density and many violating pairs.
+TEST(RulingSetAudit, DensePatchMatchesBruteForce) {
+  Rng rng(23);
+  expectAuditMatchesBruteForce(deployUniformSquare(700, 1.0, rng), 0.1, 24);
+}
+
+// Integer lattice at radius 1: side neighbours are exactly `radius` apart
+// (inside the ball), diagonals sqrt(2) (outside); some lattice points
+// repeat, so co-located members count at distance 0.
+TEST(RulingSetAudit, BoundaryAndColocatedMembersMatchBruteForce) {
+  std::vector<Vec2> pts;
+  for (int y = 0; y < 12; ++y) {
+    for (int x = 0; x < 12; ++x) pts.push_back({static_cast<double>(x), static_cast<double>(y)});
+  }
+  for (int k = 0; k < 30; ++k) pts.push_back(pts[static_cast<std::size_t>(k * 7 % 144)]);
+  // Just below the lattice point (0, 0): squared distances round to
+  // 1 + 2^-52 > radius^2 while the distances themselves round to exactly
+  // the radius, so these pairs count only if candidate gathering allows
+  // for the rounding.
+  pts.push_back({-5e-05, -0.9999999987500001});
+  pts.push_back({0.0001, -0.9999999950000001});
+  pts.push_back({-0.00015, -0.9999999887500001});
+  expectAuditMatchesBruteForce(std::move(pts), 1.0, 25);
+}
+
 }  // namespace
 }  // namespace mcs

@@ -86,7 +86,9 @@ struct Callback {
 /// Stateful synthetic protocol.  A node acts when a per-(slot, node) hash
 /// says so or when it owes a reply to something it decoded; acting draws
 /// from the node's own rng (tx vs listen, channel).  Idle nodes touch no
-/// state, so any candidate superset must reproduce the dense run.
+/// state, so any candidate superset must reproduce the dense run.  In
+/// silent() slots nobody transmits; with fading on, the slots after them
+/// match only if the fading slot ordinal advanced through them.
 struct Protocol {
   explicit Protocol(int n, int channels)
       : channels(channels),
@@ -99,6 +101,10 @@ struct Protocol {
            mix64(slot * 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint64_t>(v)) % 100 < 7;
   }
 
+  /// Every fifth slot every actor listens: a slot with listeners and no
+  /// transmitter, followed by slots that transmit again.
+  [[nodiscard]] static bool silent(std::uint64_t slot) { return slot % 5 == 3; }
+
   template <class Sim>
   void runSlot(Sim& sim, std::uint64_t slot, std::vector<Callback>& log,
                std::span<const NodeId>* candidates) {
@@ -108,7 +114,7 @@ struct Protocol {
       owesReply[vi] = 0;
       ++acted[vi];
       const auto c = static_cast<ChannelId>(sim.rng(v).below(static_cast<std::uint64_t>(channels)));
-      if (sim.rng(v).bernoulli(0.3)) {
+      if (sim.rng(v).bernoulli(0.3) && !silent(slot)) {
         Message m;
         m.type = MsgType::Data;
         m.src = v;
@@ -190,6 +196,15 @@ TEST_P(SparseStepEquivalence, CandidateStepMatchesDenseReference) {
                                          << " node " << denseLog[i].v;
   }
   EXPECT_GT(denseLog.size(), 0u);
+  // Silent slots were resolved, and their listeners heard nothing.
+  std::uint64_t silentCallbacks = 0;
+  for (const Callback& cb : sparseLog) {
+    if (!Protocol::silent(cb.slot)) continue;
+    ++silentCallbacks;
+    EXPECT_FALSE(cb.received);
+    EXPECT_EQ(cb.totalPower, 0.0);
+  }
+  EXPECT_GT(silentCallbacks, 0u);
   EXPECT_EQ(sim.mediumStats().slots, ref.mediumStats().slots);
   EXPECT_EQ(sim.mediumStats().transmissions, ref.mediumStats().transmissions);
   EXPECT_EQ(sim.mediumStats().listens, ref.mediumStats().listens);
