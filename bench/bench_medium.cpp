@@ -6,12 +6,10 @@
 //   - nearfar: grid-batched far-field approximation (MediumMode::NearFar)
 //   - hier:    pyramid-batched far field (MediumMode::Hierarchical)
 //   - threads: exact summation with the per-listener loop parallelized
-// Plus the mobility-era cases:
+// Plus the mobility-era case:
 //   - grid_rebuild / grid_update: GridIndex full re-sort vs the
-//     incremental update() path over a drifting point set
-//   - static / dynamic NearFar resolveSlot at n=32k: a mobile run
-//     (positions drift every slot, incremental-grid path) must stay
-//     within 2x of the equivalent static run
+//     incremental update() path over a drifting point set (the drift
+//     sampler's persistent index)
 // Plus sparse rows: a fixed 8-transmitter + 32-listener slot at n = 400
 // ... 400k, whose µs/slot must stay flat (O(active) resolution).
 // Writes BENCH_medium.json so future changes can diff the perf trajectory.
@@ -20,7 +18,6 @@
 #include <thread>
 
 #include "bench_common.h"
-#include "mobility/mobility.h"
 
 namespace mcs {
 namespace {
@@ -442,53 +439,6 @@ int main(int argc, char** argv) {
         .col("variant", "grid_update")
         .col("indexings_per_sec", updatePerSec)
         .col("update_vs_rebuild", ratio);
-  }
-
-  // Dynamic (mobile) vs static slot resolution at n=32k under NearFar:
-  // the incremental-grid path must keep a drifting run within 2x of the
-  // equivalent static run.  The dynamic lambda pays the realistic mobile
-  // cost: a per-slot position drift plus the incremental index update.
-  {
-    const int n = 32000;
-    const int channels = 8;
-    header("Dynamic vs static resolveSlot, n=32000 F=8 (NearFar)",
-           "mobile runs (drifting positions, incremental grid) within 2x of static");
-    const Workload w = makeWorkload(n, channels, density, seed);
-    const DriftBox box(w.pts);
-    std::vector<Reception> rx;
-
-    Medium staticMed(nearFarParams, channels);
-    const Measured staticM =
-        measure([&] { staticMed.resolveSlot(w.pts, w.intents, w.active, rx); },
-                [&] { return staticMed.stats().decodes; }, budget);
-
-    Medium dynamicMed(nearFarParams, channels);
-    dynamicMed.setDynamicPositions(true);
-    std::vector<Vec2> drifting = w.pts;
-    Rng driftRng(seed ^ 0x6d6f62696cULL);
-    const Measured dynamicM =
-        measure(
-            [&] {
-              driftPoints(drifting, box, mobilityStep, driftRng);
-              dynamicMed.resolveSlot(drifting, w.intents, w.active, rx);
-            },
-            [&] { return dynamicMed.stats().decodes; }, budget);
-
-    const double ratio = dynamicM.slotsPerSec / staticM.slotsPerSec;
-    row("%-6s %12s %12s %10s", "", "static/s", "dynamic/s", "ratio");
-    row("%-6d %12.1f %12.1f %9.2fx", n, staticM.slotsPerSec, dynamicM.slotsPerSec, ratio);
-    report.row()
-        .col("n", n)
-        .col("channels", channels)
-        .col("variant", "nearfar_static")
-        .col("slots_per_sec", staticM.slotsPerSec);
-    report.row()
-        .col("n", n)
-        .col("channels", channels)
-        .col("variant", "nearfar_dynamic")
-        .col("slots_per_sec", dynamicM.slotsPerSec)
-        .col("dynamic_vs_static", ratio);
-    report.meta("dynamic_vs_static", ratio);
   }
 
   if (!finishTelemetryCli(args, now() - benchT0)) return 1;

@@ -38,9 +38,8 @@ class GridIndex {
   bool update(std::span<const Vec2> points);
 
   /// Persistent-index maintenance in one call: rebuild() when the point
-  /// count or cell size changed, update() otherwise.  The idiom of every
-  /// mobility consumer: Medium's dynamic NearFar grid each slot, the
-  /// drift-metric sampler at each skin-band rebuild.
+  /// count or cell size changed, update() otherwise.  The drift-metric
+  /// sampler calls it at each skin-band rebuild.
   void ensure(std::span<const Vec2> points, double cellSize);
 
   /// Appends the ids of all points within distance `radius` of `center`
@@ -135,15 +134,6 @@ class GridIndex {
   /// Position of an indexed point by id.
   [[nodiscard]] Vec2 point(NodeId id) const noexcept {
     return points_[static_cast<std::size_t>(id)];
-  }
-
-  /// Flat cell index of an indexed point (valid after rebuild/update).
-  [[nodiscard]] long cellOfId(NodeId id) const noexcept {
-    return cellOfPoint_[static_cast<std::size_t>(id)];
-  }
-  /// (cx, cy) coordinates of a flat cell index.
-  [[nodiscard]] std::pair<long, long> cellCoords(long cell) const noexcept {
-    return {cell % nx_, cell / nx_};
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }

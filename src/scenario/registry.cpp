@@ -314,7 +314,7 @@ std::vector<Entry> buildRegistry() {
     s.deployment.side = 0.8;
     s.sinr.mediumMode = MediumMode::NearFar;
     add(mobile(std::move(s), "mobile_nearfar", MobilityKind::RandomWalk, 5e-4),
-        "dense mobile MAX aggregation on the incremental-grid NearFar medium");
+        "dense mobile MAX aggregation on the NearFar medium");
   }
 
   return r;

@@ -42,8 +42,6 @@ void Simulator::attachDynamics(const TopologyParams& params) {
   Rng churnRng = root_.fork(kChurnStream);
   dyn_ = std::make_unique<TopologyDynamics>(params, initial, net_->rEps(), mobilityRng(),
                                             churnRng());
-  // Drifting positions unlock the Medium's incremental NearFar path.
-  medium_.setDynamicPositions(true);
 }
 
 void Simulator::finalizeDynamics() {

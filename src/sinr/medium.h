@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -73,6 +74,16 @@ struct MediumStats {
 ///    theta = 0.5, level-0 admissibility coincides exactly with
 ///    NearFar's near-ball test, so Hierarchical refines NearFar by
 ///    re-batching only regions NearFar already approximated.
+///
+/// The two gridded modes share one path.  Each slot, one field builder
+/// indexes every channel's transmitters of that slot in a grid of cells
+/// of side nearField * R_T / 2 (plus the pyramid in Hierarchical mode),
+/// reading positions fresh, so static and drifting (mobile) runs are
+/// resolved alike at O(active) cost.  One gridded walk then sums each
+/// listener: near cells member by member, far regions as one centroid
+/// kernel call each.  NearFar enumerates the base cells flat in row-major
+/// order; Hierarchical walks the pyramid.  All modes share one decode
+/// rule and one attribution epilogue.
 ///
 /// All modes evaluate path loss through PowerKernel, which specializes
 /// integer/half-integer alpha to multiply/sqrt sequences (no std::pow on
@@ -164,44 +175,53 @@ class Medium {
   /// identically with or without it.
   void setAliveMask(std::vector<std::uint8_t> alive) { aliveMask_ = std::move(alive); }
 
-  /// Declares that callers pass *drifting* positions (mobility).  In
-  /// NearFar and Hierarchical modes this switches buildFields to the
-  /// incremental path: one persistent GridIndex over all node positions,
-  /// advanced per slot via GridIndex::update (bounded displacement moves
-  /// points between cells; full rebuild fallback), with per-channel far
-  /// cells (and, in Hierarchical mode, the pyramid) grouped off that
-  /// shared index instead of rebuilding a per-channel grid from each
-  /// slot's transmitter set.  Static runs keep the original per-channel
-  /// path bit-for-bit; Exact mode ignores the flag entirely (positions
-  /// are always read fresh).
-  void setDynamicPositions(bool on) noexcept { dynamicPositions_ = on; }
-  [[nodiscard]] bool dynamicPositions() const noexcept { return dynamicPositions_; }
-
  private:
-  /// Far-field aggregate of one grid cell (NearFar mode): the member
-  /// centroid, the member ids (channel-local), and the cell coordinates.
+  /// One occupied base cell of a channel's grid: the member centroid,
+  /// the member ids (channel-local), and the cell coordinates.
   struct FarCell {
     Vec2 centroid;
     long cx = 0, cy = 0;
     std::span<const NodeId> ids;  // into the channel grid's CSR storage
   };
 
-  /// Per-channel spatial structure rebuilt each slot in NearFar and
-  /// Hierarchical modes.
+  /// Per-channel spatial structure rebuilt each gridded slot from that
+  /// slot's transmitters only, so its cost is O(active), and positions are
+  /// read fresh every slot (static and drifting runs take the same path).
   struct ChannelField {
-    GridIndex grid;          // over this channel's transmitter positions (static path)
-    std::int32_t lo = 0;     // slice start in the workspace's txIds
-    std::vector<FarCell> cells;
-    /// Dynamic path: channel-local tx indices sorted by allGrid_ cell
-    /// (FarCell::ids spans into this instead of the per-channel grid).
-    std::vector<NodeId> sortedLocals;
+    GridIndex grid;       // over this channel's transmitter positions
+    std::int32_t lo = 0;  // slice start in the workspace's txIds
+    std::vector<FarCell> cells;  // row-major, the NearFar walk order
     /// Hierarchical mode: the coarse-to-fine pyramid over this channel's
     /// occupied base cells (near() refs index into `cells`).
     HierGrid hier;
   };
 
+  // resolveSlot's parts, defined in medium.cpp: a prologue that settles
+  // slots needing no sweep, one interference kernel per mode family
+  // (Exact tile sweep, gridded NearFar/Hierarchical walk), and one shared
+  // decode and attribution epilogue.  Each `kProbes` instantiation is the
+  // probes-armed or disarmed sweep.
+  struct SlotView;
+  struct ListenerSum;
+  struct Tally;
+
+  [[nodiscard]] std::optional<bool> prologue(std::span<const Vec2> positions,
+                                             std::span<const Intent> intents,
+                                             std::span<const NodeId> active, bool probesArmed,
+                                             std::size_t& txTotal);
   void buildFields(bool buildHier);
-  void buildFieldsDynamic(std::span<const Vec2> positions, bool buildHier);
+  template <bool kProbes>
+  void sweepRange(const SlotView& s, std::size_t begin, std::size_t end, Tally& t);
+  template <bool kProbes>
+  ListenerSum exactSum(const SlotView& s, ChannelId c, Vec2 pv, NodeId v, Tally& t) const;
+  template <bool kProbes>
+  ListenerSum griddedSum(const SlotView& s, ChannelId c, Vec2 pv, NodeId v, Tally& t) const;
+  template <bool kProbes>
+  void decode(const SlotView& s, std::size_t li, ChannelId c, Vec2 pv, const ListenerSum& sum,
+              Tally& t);
+  [[nodiscard]] double farBestExact(const SlotView& s, ChannelId c, Vec2 pv, NodeId v) const;
+  void publish(const Tally& t, bool probesArmed, std::size_t txTotal);
+  [[nodiscard]] bool deadListener(NodeId v) const noexcept;
 
   SinrParams params_;
   PowerKernel kernel_;
@@ -235,12 +255,6 @@ class Medium {
   };
   std::vector<ListenerDb> probeDb_;
   telemetry::SlotProbeSample probeSample_;
-
-  // Incremental NearFar path (setDynamicPositions): a persistent index
-  // over ALL node positions, updated in place each slot.
-  bool dynamicPositions_ = false;
-  GridIndex allGrid_;
-  std::vector<std::pair<long, NodeId>> cellLocal_;  // (cell, local) scratch
 };
 
 }  // namespace mcs

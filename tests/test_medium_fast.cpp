@@ -347,49 +347,87 @@ TEST(MediumHier, ThetaKnobTightensTheErrorBound) {
   EXPECT_LT(tight.maxRelErr, 0.02);
 }
 
-TEST(MediumHier, DynamicPositionsPathStaysWithinBounds) {
-  // setDynamicPositions reroutes pyramid construction through the shared
-  // incremental allGrid_; the cell partition differs from the static
-  // per-channel grids, but the admissibility bound is geometry-independent
-  // so accuracy must hold all the same.
-  SinrParams exact;
-  SinrParams approx = exact;
-  approx.mediumMode = MediumMode::Hierarchical;
+/// Every Reception field, bit for bit (NaN-free by construction).
+void expectSameReceptions(const std::vector<Reception>& a, const std::vector<Reception>& b,
+                          int slot) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].received, b[i].received) << "slot " << slot << " node " << i;
+    ASSERT_EQ(a[i].msg.src, b[i].msg.src) << "slot " << slot << " node " << i;
+    ASSERT_EQ(a[i].totalPower, b[i].totalPower) << "slot " << slot << " node " << i;
+    ASSERT_EQ(a[i].signalPower, b[i].signalPower) << "slot " << slot << " node " << i;
+    ASSERT_EQ(a[i].sinr, b[i].sinr) << "slot " << slot << " node " << i;
+    ASSERT_EQ(a[i].senderDistance, b[i].senderDistance) << "slot " << slot << " node " << i;
+  }
+}
 
+TEST(MediumGridded, DriftingPositionsStayWithinBoundsAndForgetHistory) {
+  // Gridded fields are rebuilt every slot from that slot's transmitter
+  // positions, so a drifting run is a sequence of independent slots: slot
+  // k equals a fresh Medium resolving only slot k (advanced by k silent
+  // slots first, so its fading ordinal matches).  The drift is large
+  // enough to move transmitters between cells from slot to slot.  Without
+  // fading, both gridded modes must also stay within their error bounds
+  // against Exact on every drifted slot.
   const int n = 1200;
+  const int channels = 2;
   Rng rng(19);
-  auto pos = deployUniformSquare(n, 10.0, rng);
+  const auto start = deployUniformSquare(n, 10.0, rng);
   std::vector<Intent> intents(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) {
     const auto c = static_cast<ChannelId>(rng.below(2));
+    Message msg;
+    msg.src = v;
     intents[static_cast<std::size_t>(v)] =
-        rng.bernoulli(0.1) ? Intent::transmit(c, {}) : Intent::listen(c);
+        rng.bernoulli(0.1) ? Intent::transmit(c, msg) : Intent::listen(c);
   }
-  Medium mediumExact(exact, 2);
-  Medium dynamicHier(approx, 2);
-  dynamicHier.setDynamicPositions(true);
-  std::vector<Reception> a, b;
-  for (int slot = 0; slot < 3; ++slot) {
-    // Small per-slot drift keeps the incremental update() path engaged.
-    for (Vec2& p : pos) {
-      p.x += 1e-4 * (2.0 * rng.uniform() - 1.0);
-      p.y += 1e-4 * (2.0 * rng.uniform() - 1.0);
-    }
-    mediumExact.resolveSlot(pos, intents, activeNodes(intents), a);
-    dynamicHier.resolveSlot(pos, intents, activeNodes(intents), b);
-    int decodeDisagreements = 0;
-    int listeners = 0;
-    for (int v = 0; v < n; ++v) {
-      const auto vi = static_cast<std::size_t>(v);
-      if (intents[vi].action != Action::Listen) continue;
-      ++listeners;
-      decodeDisagreements += a[vi].received != b[vi].received;
-      if (a[vi].totalPower > 0.0) {
-        EXPECT_NEAR(b[vi].totalPower, a[vi].totalPower, 0.05 * a[vi].totalPower);
+  const std::vector<Intent> listenOnly(static_cast<std::size_t>(n), Intent::listen(0));
+  for (const MediumMode mode : {MediumMode::NearFar, MediumMode::Hierarchical}) {
+    for (const FadingModel fading : {FadingModel::None, FadingModel::Rayleigh}) {
+      SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode) << " fading "
+                                      << static_cast<int>(fading));
+      SinrParams exact;
+      exact.fading.model = fading;
+      SinrParams approx = exact;
+      approx.mediumMode = mode;
+      Medium mediumExact(exact, channels);
+      Medium drifting(approx, channels, 2);
+      drifting.seedFading(77);
+      std::vector<Vec2> pos = start;
+      Rng drift(5);
+      std::vector<Reception> a, b, fresh;
+      for (int slot = 0; slot < 4; ++slot) {
+        for (Vec2& p : pos) {
+          p.x += 0.3 * (2.0 * drift.uniform() - 1.0);
+          p.y += 0.3 * (2.0 * drift.uniform() - 1.0);
+        }
+        drifting.resolveSlot(pos, intents, activeNodes(intents), b);
+
+        Medium once(approx, channels);
+        once.seedFading(77);
+        for (int k = 0; k < slot; ++k) {
+          once.resolveSlot(pos, listenOnly, activeNodes(listenOnly), fresh);
+        }
+        once.resolveSlot(pos, intents, activeNodes(intents), fresh);
+        expectSameReceptions(fresh, b, slot);
+
+        if (fading != FadingModel::None) continue;
+        mediumExact.resolveSlot(pos, intents, activeNodes(intents), a);
+        int decodeDisagreements = 0;
+        int listeners = 0;
+        for (int v = 0; v < n; ++v) {
+          const auto vi = static_cast<std::size_t>(v);
+          if (intents[vi].action != Action::Listen) continue;
+          ++listeners;
+          decodeDisagreements += a[vi].received != b[vi].received;
+          if (a[vi].totalPower > 0.0) {
+            EXPECT_NEAR(b[vi].totalPower, a[vi].totalPower, 0.05 * a[vi].totalPower);
+          }
+        }
+        ASSERT_GT(listeners, 0);
+        EXPECT_LE(decodeDisagreements, listeners / 100);
       }
     }
-    ASSERT_GT(listeners, 0);
-    EXPECT_LE(decodeDisagreements, listeners / 100);
   }
 }
 

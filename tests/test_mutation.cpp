@@ -1,7 +1,9 @@
 // Seeded mutation tests for the bytes the campaign executor reads back:
 // cell files (through loadCellResult, which resume and the CSV writer
 // use) and RESULT frames (through FrameDecoder + decodeFrame +
-// outcomeFromFrame, the forked lane's transport).  An in-repo mutator —
+// outcomeFromFrame, the forked lane's transport), plus the scenario spec
+// files every run starts from (loadScenarioFile / applyScenarioKey +
+// validateScenario).  An in-repo mutator —
 // bit flips, truncations, splices — derives a bounded, fixed-seed corpus
 // from one real input of each kind; every mutant must either load or fail
 // with an error, and whatever loads must survive the consumers that read
@@ -19,6 +21,8 @@
 #include "campaign/protocol.h"
 #include "campaign/reduce.h"
 #include "campaign/worker.h"
+#include "scenario/registry.h"
+#include "scenario/spec.h"
 #include "sweep/report.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
@@ -402,6 +406,107 @@ TEST(Mutation, ProbeBlobNumbersThatNoIntegerHoldsFailWithAnError) {
     EXPECT_NE(err.find("probes"), std::string::npos) << err;
   }
   std::filesystem::remove(path);
+}
+
+/// Loads `text` as a scenario file.  Whatever loads is validated,
+/// described, and must round-trip through its canonical serialization;
+/// whatever does not load must say why.  True when it loaded.
+bool loadsAsScenario(const std::string& text, const std::string& path) {
+  const auto load = [&](const std::string& bytes, ScenarioSpec& spec, std::string& err) {
+    std::filesystem::remove(path);
+    std::ofstream(path, std::ios::binary) << bytes;
+    return loadScenarioFile(spec, path, err);
+  };
+  ScenarioSpec spec;
+  std::string err;
+  if (!load(text, spec, err)) {
+    EXPECT_FALSE(err.empty()) << "a scenario file failed to load without an error";
+    return false;
+  }
+  (void)validateScenario(spec);
+  (void)describeScenario(spec);
+  const std::string canonical = scenarioToKeyValues(spec);
+  ScenarioSpec again;
+  EXPECT_TRUE(load(canonical, again, err)) << err;
+  EXPECT_EQ(scenarioToKeyValues(again), canonical);
+  return true;
+}
+
+/// The `key = value` lines of a canonical scenario serialization.
+std::vector<std::pair<std::string, std::string>> scenarioLines(const std::string& text) {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t eq = line.find(" = ");
+    if (eq != std::string::npos) out.emplace_back(line.substr(0, eq), line.substr(eq + 3));
+  }
+  return out;
+}
+
+TEST(Mutation, ScenarioFilesLoadOrFailWithAnError) {
+  // Every registered preset's canonical text, mutated whole through the
+  // file loader, then one value at a time through applyScenarioKey: with
+  // byte mutants of the value and with hostile replacements.
+  std::vector<std::string> texts;
+  for (const std::string& name : ScenarioRegistry::names()) {
+    ScenarioSpec spec;
+    ASSERT_TRUE(ScenarioRegistry::find(name, spec));
+    texts.push_back(scenarioToKeyValues(spec));
+  }
+  ASSERT_FALSE(texts.empty());
+  const std::string path = testing::TempDir() + "mutation_scenario.txt";
+  Mutator mutator(20261020);
+  int loaded = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::size_t k = static_cast<std::size_t>(i) % texts.size();
+    const std::string& donor = texts[(k + 1) % texts.size()];
+    loaded += loadsAsScenario(mutator.mutate(texts[k], donor), path) ? 1 : 0;
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kMutants);
+  std::filesystem::remove(path);
+
+  // Empty, non-finite, out-of-range, overflowing and near-miss values.
+  static const char* const kHostile[] = {"",      " ",     "nan",   "-nan",     "inf",
+                                         "-inf",  "1e400", "-1e400", "4.9e-324", "-0",
+                                         "0",     "-1",    "0x10",  "1e",       "2 3",
+                                         "9223372036854775808",      "-9223372036854775809",
+                                         "4294967297",     "nearfar ", "hier\t",  "exact\r",
+                                         "HIER",  "near",  "rayleigh\n"};
+  std::set<std::string> keys;
+  int applied = 0;
+  int refused = 0;
+  for (std::size_t k = 0; k < texts.size(); ++k) {
+    ScenarioSpec base;
+    ASSERT_TRUE(ScenarioRegistry::find(ScenarioRegistry::names()[k], base));
+    const auto lines = scenarioLines(texts[k]);
+    for (std::size_t j = 0; j < lines.size(); ++j) {
+      const auto& [key, value] = lines[j];
+      keys.insert(key);
+      std::vector<std::string> values(std::begin(kHostile), std::end(kHostile));
+      for (int m = 0; m < 8; ++m) {
+        values.push_back(mutator.mutate(value, lines[(j + 1) % lines.size()].second));
+      }
+      for (const std::string& v : values) {
+        ScenarioSpec spec = base;
+        std::string err;
+        if (applyScenarioKey(spec, key, v, err)) {
+          ++applied;
+          (void)validateScenario(spec);
+          (void)scenarioToKeyValues(spec);
+        } else {
+          ++refused;
+          EXPECT_FALSE(err.empty()) << key << " = " << v;
+        }
+      }
+    }
+  }
+  for (const char* key : {"medium_mode", "near_field", "hier_theta"}) {
+    EXPECT_EQ(keys.count(key), 1u) << key;
+  }
+  EXPECT_GT(applied, 0);
+  EXPECT_GT(refused, 0);
 }
 
 }  // namespace

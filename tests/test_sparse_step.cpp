@@ -34,7 +34,6 @@ class DenseReference {
       Rng churnRng = root_.fork(kChurnStream);
       dyn_ = std::make_unique<TopologyDynamics>(*topo, net.positions(), net.rEps(),
                                                 mobilityRng(), churnRng());
-      medium_.setDynamicPositions(true);
     }
   }
 
