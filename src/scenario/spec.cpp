@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace mcs {
@@ -103,6 +104,11 @@ bool setLong(long& field, const std::string& key, const std::string& value, std:
 bool setInt(int& field, const std::string& key, const std::string& value, std::string& err) {
   long v = 0;
   if (!setLong(v, key, value, err)) return false;
+  // A narrowing cast would wrap, e.g. n = 4294967297 into n = 1.
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    err = "key \"" + key + "\": integer \"" + value + "\" out of range";
+    return false;
+  }
   field = static_cast<int>(v);
   return true;
 }

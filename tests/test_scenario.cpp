@@ -67,6 +67,10 @@ TEST(ScenarioSpec, RejectsMalformedValues) {
   EXPECT_FALSE(applyScenarioKey(spec, "deployment", "donut", err));
   EXPECT_FALSE(applyScenarioKey(spec, "protocol", "magic", err));
   EXPECT_FALSE(applyScenarioKey(spec, "fading", "sunny", err));
+  // Integers an int field cannot hold are refused, not wrapped.
+  EXPECT_FALSE(applyScenarioKey(spec, "n", "4294967297", err));
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  EXPECT_FALSE(applyScenarioKey(spec, "channels", "-2147483649", err));
   // Nothing was modified by the failed assignments.
   EXPECT_EQ(spec.deployment.n, ScenarioSpec{}.deployment.n);
 }
