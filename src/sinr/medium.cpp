@@ -194,8 +194,7 @@ struct Medium::ListenerSum {
   }
 };
 
-/// Work and cause tallies of one listener range: lanes count locally and
-/// merge into the slot's tally once per range.
+/// Work and cause tallies of a slot's sweep, or of one lane's range of it.
 struct Medium::Tally {
   std::uint64_t decodes = 0, candidates = 0, exactPairs = 0, nearPairs = 0, farCells = 0;
   std::array<std::uint64_t, kHierLevelSlots> hierLevels{};
@@ -254,24 +253,27 @@ bool Medium::resolveSlotUnlessSilent(std::span<const Vec2> positions,
   // One compile-time instantiation per arming state: the disarmed sweep
   // keeps its exact instruction stream, the armed one adds only reads and
   // compares — receptions are bit-identical either way.
-  Tally slot;
-  std::mutex slotMu;
-  const auto sweep = [&](std::size_t begin, std::size_t end) {
-    Tally lane;
+  const auto sweep = [&](std::size_t begin, std::size_t end, Tally& t) {
     if (probesArmed) {
-      sweepRange<true>(s, begin, end, lane);
+      sweepRange<true>(s, begin, end, t);
     } else {
-      sweepRange<false>(s, begin, end, lane);
+      sweepRange<false>(s, begin, end, t);
     }
-    const std::lock_guard<std::mutex> lock(slotMu);
-    slot.merge(lane);
   };
+  Tally slot;
   {
     const telemetry::PhaseTimer t(mediumTm().sweep);
     if (pool_) {
-      pool_->parallelFor(ws_.listeners.size(), sweep);
+      // Lanes tally locally and merge once per range.
+      std::mutex slotMu;  // guards `slot`
+      pool_->parallelFor(ws_.listeners.size(), [&](std::size_t begin, std::size_t end) {
+        Tally lane;
+        sweep(begin, end, lane);
+        const std::lock_guard<std::mutex> lock(slotMu);
+        slot.merge(lane);
+      });
     } else {
-      sweep(0, ws_.listeners.size());
+      sweep(0, ws_.listeners.size(), slot);
     }
   }
   publish(slot, probesArmed, txTotal);
