@@ -72,9 +72,11 @@ class HierGrid {
   ///
   /// Traversal order is a pure function of the pyramid and `p` (fixed
   /// child order, no data-dependent tie-breaks), so per-listener results
-  /// are reproducible and thread-count independent.
+  /// are reproducible and thread-count independent.  Always inlined: the
+  /// callbacks accumulate into the caller's locals, which stay in
+  /// registers only when the walk is part of the caller.
   template <class FarFn, class NearFn>
-  void forEachField(Vec2 p, double nearRadius, double theta, FarFn&& far, NearFn&& near) const {
+  [[gnu::always_inline]] void forEachField(Vec2 p, double nearRadius, double theta, FarFn&& far, NearFn&& near) const {
     if (numLevels_ == 0) return;
     const int top = numLevels_ - 1;
     // Per-level admissibility threshold (squared box distance).

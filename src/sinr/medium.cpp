@@ -361,7 +361,9 @@ void Medium::sweepRange(const SlotView& s, std::size_t begin, std::size_t end, T
     ++t.candidates;
     const Vec2 pv = s.positions[static_cast<std::size_t>(v)];
     const ListenerSum sum = s.mode == MediumMode::Exact ? exactSum<kProbes>(s, c, pv, v, t)
-                                                        : griddedSum<kProbes>(s, c, pv, v, t);
+                            : s.mode == MediumMode::NearFar
+                                ? griddedSum<kProbes, false>(s, c, pv, v, t)
+                                : griddedSum<kProbes, true>(s, c, pv, v, t);
     decode<kProbes>(s, li, c, pv, sum, t);
   }
   if (timeHier) telemetry::timerRecordSlow(mediumTm().hierTraverse, nowNanos() - hierT0);
@@ -382,7 +384,9 @@ Medium::ListenerSum Medium::exactSum(const SlotView& s, ChannelId c, Vec2 pv, No
   const NodeId* ids = ws_.txIds.data();
   const std::int32_t lo = ws_.bucketBegin(c);
   const std::int32_t hi = ws_.bucketEnd(c);
-  ListenerSum sum;
+  // Accumulated in a local and copied out: in the return slot the
+  // reduction would store to memory once per transmitter.
+  ListenerSum acc;
   for (std::int32_t i0 = lo; i0 < hi; i0 += static_cast<std::int32_t>(kTile)) {
     const std::size_t base = static_cast<std::size_t>(i0);
     const std::size_t m = std::min(kTile, static_cast<std::size_t>(hi) - base);
@@ -401,44 +405,46 @@ Medium::ListenerSum Medium::exactSum(const SlotView& s, ChannelId c, Vec2 pv, No
                                 static_cast<std::uint64_t>(v));
       }
     }
-    for (std::size_t j = 0; j < m; ++j) sum.add<kProbes>(rxTile[j], ids[base + j]);
+    for (std::size_t j = 0; j < m; ++j) acc.add<kProbes>(rxTile[j], ids[base + j]);
   }
-  return sum;
+  return ListenerSum(acc);
 }
 
-template <bool kProbes>
+template <bool kProbes, bool kHier>
 Medium::ListenerSum Medium::griddedSum(const SlotView& s, ChannelId c, Vec2 pv, NodeId v,
                                        Tally& t) const {
   const ChannelField& f = fields_[static_cast<std::size_t>(c)];
-  const bool hier = s.mode == MediumMode::Hierarchical;
-  ListenerSum sum;
+  // Sums and counts accumulate in locals, as in exactSum.
+  ListenerSum acc;
+  std::uint64_t farCells = 0;
+  std::uint64_t nearPairs = 0;
   // A batched region contributes count * P/d(centroid)^alpha in one kernel
   // call, counting toward interference only.  With fading it shares one
   // draw per (slot, region, listener): far regions are already a batched
   // approximation, and a shared gain keeps the cost O(regions).
   const auto far = [&](std::int64_t count, Vec2 centroid, int level, long cx, long cy) {
-    ++t.farCells;
-    if (hier) ++t.hierLevels[static_cast<std::size_t>(level)];
+    ++farCells;
+    if constexpr (kHier) ++t.hierLevels[static_cast<std::size_t>(level)];
     const double d2c = dist2(centroid, pv);
     double cellRx = static_cast<double>(count) * s.kern(d2c > 0.0 ? d2c : kMinD2);
     if (s.hasFading) {
-      cellRx *= s.fad.gain(s.fadingSlot, farRegionKey(hier, c, level, cx, cy),
+      cellRx *= s.fad.gain(s.fadingSlot, farRegionKey(kHier, c, level, cx, cy),
                            static_cast<std::uint64_t>(v));
     }
-    sum.total += cellRx;
-    if constexpr (kProbes) sum.farTotal += cellRx;
+    acc.total += cellRx;
+    if constexpr (kProbes) acc.farTotal += cellRx;
   };
   // A base cell near the listener has every member summed exactly.  Any
   // transmitter that could decode is within R_T <= nearR of the listener,
   // hence in such a cell, hence an exact `best` candidate.
   const auto near = [&](std::int32_t ref) {
     for (const NodeId local : f.cells[static_cast<std::size_t>(ref)].ids) {
-      ++t.nearPairs;
+      ++nearPairs;
       const NodeId w = ws_.txIds[static_cast<std::size_t>(f.lo) + static_cast<std::size_t>(local)];
-      sum.add<kProbes>(s.pairPower(f.grid.point(local), pv, w, v), w);
+      acc.add<kProbes>(s.pairPower(f.grid.point(local), pv, w, v), w);
     }
   };
-  if (hier) {
+  if constexpr (kHier) {
     // Coarse-to-fine pyramid walk: admissible regions are batched at the
     // coarsest level; inadmissible base cells resolve through near().
     f.hier.forEachField(pv, nearRadius_, params_.hierTheta, far, near);
@@ -454,7 +460,9 @@ Medium::ListenerSum Medium::griddedSum(const SlotView& s, ChannelId c, Vec2 pv, 
       }
     }
   }
-  return sum;
+  t.farCells += farCells;
+  t.nearPairs += nearPairs;
+  return ListenerSum(acc);
 }
 
 template <bool kProbes>

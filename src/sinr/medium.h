@@ -200,7 +200,8 @@ class Medium {
   // slots needing no sweep, one interference kernel per mode family
   // (Exact tile sweep, gridded NearFar/Hierarchical walk), and one shared
   // decode and attribution epilogue.  Each `kProbes` instantiation is the
-  // probes-armed or disarmed sweep.
+  // probes-armed or disarmed sweep; `kHier` picks the gridded walk's cell
+  // enumeration (pyramid or flat base cells).
   struct SlotView;
   struct ListenerSum;
   struct Tally;
@@ -214,7 +215,7 @@ class Medium {
   void sweepRange(const SlotView& s, std::size_t begin, std::size_t end, Tally& t);
   template <bool kProbes>
   ListenerSum exactSum(const SlotView& s, ChannelId c, Vec2 pv, NodeId v, Tally& t) const;
-  template <bool kProbes>
+  template <bool kProbes, bool kHier>
   ListenerSum griddedSum(const SlotView& s, ChannelId c, Vec2 pv, NodeId v, Tally& t) const;
   template <bool kProbes>
   void decode(const SlotView& s, std::size_t li, ChannelId c, Vec2 pv, const ListenerSum& sum,
