@@ -243,9 +243,8 @@ bool Medium::resolveSlotUnlessSilent(std::span<const Vec2> positions,
     const telemetry::PhaseTimer t(mediumTm().buildFields);
     buildFields(mode == MediumMode::Hierarchical);
   }
-  const SlotView s{positions, intents,          out.data(),    mode,
-                   kernel_,   fading_,          fading_.enabled(), ++fadingSlot_,
-                   nearRadius_ * nearRadius_};
+  const SlotView s{positions, intents, out.data(), mode, kernel_, fading_,
+                   fading_.enabled(), ++fadingSlot_, nearRadius_ * nearRadius_};
   if (probesArmed && probeDb_.size() < ws_.listeners.size()) {
     probeDb_.resize(ws_.listeners.size());
   }
